@@ -23,10 +23,32 @@ would go to its children.  ``depth_limit=0`` reduces the tree to the root,
 i.e. plain von Neumann extraction with the one-symbol release delay.
 Memory grows with the tree, which unlimited depth lets grow roughly
 logarithmically with the input length.
+
+The session stores the tree as flat int-coded lists (an arena), not as
+node objects.  Node ``i`` has a label code (the index into ``LABELS``:
+0 empty, 1 held ``H``, 2 held ``T``, 3 holding bit 0, 4 holding bit 1), a
+depth, and the index of its left child.  Children are allocated in pairs,
+so the right child is the next index, and unlimited depth needs no
+``2**depth`` index space.  Symbols are coded like the labels that hold
+them (``H`` -> 1, ``T`` -> 2).  Each output bit records the index of the
+node that released it; that is all :meth:`CoinExtractor.snapshot` needs
+to rebuild the per-node bit logs.  A delivery and everything it forwards
+run on an explicit stack, in the same depth-first, left-before-right
+order as the recursive definition.  ``H``/``T`` and the string labels
+exist only at the edges: :func:`node_update`, :class:`TraceNode` and
+``snapshot()``.
+
+:meth:`CoinExtractor.feed` is the bulk entry point.  It drains an
+iterable with the session state in locals, handles the root inline (about
+half of all symbols touch only the root), and stops as soon as the output
+reaches a requested length.  :meth:`CoinExtractor.process` is the
+per-symbol form of the same loop, and :func:`take_bits` drives every
+session type in the package through ``feed``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -122,97 +144,195 @@ class TraceNode:
         return 1 + max(k.depth for k in kids) if kids else 0
 
 
-class Node:
-    """Mutable tree node.  Children are created in pairs, lazily."""
-
-    __slots__ = ("label", "depth", "left", "right", "bit_log")
-
-    def __init__(self, depth: int) -> None:
-        self.label = EMPTY
-        self.depth = depth
-        self.left: Node | None = None
-        self.right: Node | None = None
-        self.bit_log: list[int] = []
-
-    def clone(self) -> Node:
-        dup = Node(self.depth)
-        dup.label = self.label
-        dup.bit_log = self.bit_log.copy()
-        if self.left is not None:
-            dup.left = self.left.clone()
-            dup.right = self.right.clone()  # children exist in pairs
-        return dup
-
-    def snapshot(self) -> TraceNode:
-        return TraceNode(
-            label=self.label,
-            bit_log=tuple(self.bit_log),
-            left=self.left.snapshot() if self.left is not None else None,
-            right=self.right.snapshot() if self.right is not None else None,
-        )
+def check_depth_limit(depth_limit) -> None:
+    """Raise ``ValueError`` unless ``depth_limit`` is None or a nonnegative
+    int.  Booleans are rejected although ``bool`` subclasses ``int``."""
+    if depth_limit is not None and (
+        isinstance(depth_limit, bool) or not isinstance(depth_limit, int) or depth_limit < 0
+    ):
+        raise ValueError(f"depth_limit must be None or a nonnegative int, got {depth_limit!r}")
 
 
-class CoinExtractor:
+_UNBOUNDED = sys.maxsize  # ``until`` for a feed that runs to the end of its source
+
+# Left-child entries in the arena other than a child index.  The root is
+# never a child, so index 0 can mean "not allocated yet".
+_NO_CHILDREN = 0
+_AT_CAP = -1  # the node sits at the depth cap and forwards nothing
+
+
+class Session:
+    """Base for the extractor sessions in this package.
+
+    A session keeps its released bits in ``output`` and consumes one item
+    at a time with ``process``.  This base adds :meth:`feed`, the entry
+    point of :func:`take_bits`, and :meth:`process_all` on top of it.
+    """
+
+    output: list[int]
+
+    def feed(self, items: Iterable, until: int | None = None) -> int:
+        """Consume ``items`` in order until they run out or ``len(output)``
+        reaches ``until``; return the number of items consumed.
+
+        No item is pulled from ``items`` after the one that reaches the
+        target, and none at all if the output is already long enough.
+        """
+        out = self.output
+        stop = _UNBOUNDED if until is None else until
+        if len(out) >= stop:
+            return 0
+        process = self.process
+        n = 0
+        for item in items:
+            process(item)
+            n += 1
+            if len(out) >= stop:
+                break
+        return n
+
+    def process_all(self, items: Iterable) -> list[int]:
+        """Consume a whole sequence; return the bits it released."""
+        n0 = len(self.output)
+        self.feed(items)
+        return self.output[n0:]
+
+
+class CoinExtractor(Session):
     """Incremental debiasing session over an ``H``/``T`` symbol stream.
 
-    Feed symbols with :meth:`process`; released bits accumulate in
-    ``output``.  The session is deterministic: the same symbol sequence
-    always yields the same output, tree, and message count.
+    Feed symbols with :meth:`feed` or :meth:`process`; released bits
+    accumulate in ``output``.  The session is deterministic: the same
+    symbol sequence always yields the same output, tree, and message
+    count, however it is split between calls.
 
     ``depth_limit=None`` means unlimited recycling depth.
     """
 
     def __init__(self, depth_limit: int | None = None) -> None:
-        if depth_limit is not None and (not isinstance(depth_limit, int) or depth_limit < 0):
-            raise ValueError(f"depth_limit must be None or a nonnegative int, got {depth_limit!r}")
+        check_depth_limit(depth_limit)
         self.depth_limit = depth_limit
         self.output: list[int] = []
         self.symbols_consumed = 0
         self.messages_total = 0
-        self._root = Node(0)
+        # The arena, indexed by node (root 0): label code, left-child index
+        # (or _NO_CHILDREN / _AT_CAP) and depth.  _src[j] is the node that
+        # released output[j].
+        self._label = [0]
+        self._kids = [_AT_CAP if depth_limit == 0 else _NO_CHILDREN]
+        self._depth = [0]
+        self._src: list[int] = []
+
+    def feed(self, items: Iterable[str], until: int | None = None) -> int:
+        """Consume symbols until ``items`` runs out or ``len(output)``
+        reaches ``until``; return the number of symbols consumed.
+
+        Equivalent to calling :meth:`process` on each symbol in turn.  A
+        symbol other than ``H``/``T`` raises ``ValueError`` and leaves the
+        session as it was after the symbols before it.
+        """
+        out, src, label = self.output, self._src, self._label
+        cascade = self._cascade
+        stop = _UNBOUNDED if until is None else until
+        if len(out) >= stop:
+            return 0
+        n = extra = 0  # symbols consumed; deliveries beyond one per symbol
+        try:
+            for s in items:
+                if s == HEADS:
+                    y = 1
+                elif s == TAILS:
+                    y = 2
+                else:
+                    raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
+                n += 1
+                held = label[0]
+                if held == 0:
+                    label[0] = y
+                    continue
+                if held > 2:  # release the root's held bit, then hold y
+                    out.append(held - 3)
+                    src.append(0)
+                    label[0] = y
+                else:  # y completes a pair at the root
+                    extra += cascade(0, y) - 1
+                if len(out) >= stop:
+                    break
+        finally:
+            self.symbols_consumed += n
+            self.messages_total += n + extra
+        return n
 
     def process(self, symbol: str) -> StepResult:
         """Consume one symbol; return the bits it released and the number
         of node deliveries it triggered (always at least 1)."""
-        if symbol not in (HEADS, TAILS):
-            raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {symbol!r}")
-        n0 = len(self.output)
-        m0 = self.messages_total
-        self._deliver(self._root, symbol)
-        self.symbols_consumed += 1
+        n0, m0 = len(self.output), self.messages_total
+        self.feed((symbol,))
         return StepResult(self.output[n0:], self.messages_total - m0)
 
-    def process_all(self, symbols: Iterable[str]) -> list[int]:
-        """Consume a whole sequence; return the bits it released."""
-        n0 = len(self.output)
-        for s in symbols:
-            self.process(s)
-        return self.output[n0:]
+    def _cascade(self, i: int, y: int) -> int:
+        """Deliver symbol code ``y`` to node ``i``, then every message that
+        delivery forwards, depth first and left before right.  Returns the
+        number of deliveries made."""
+        label, kids, out, src = self._label, self._kids, self.output, self._src
+        pending: list[int] = []  # right-child deliveries as flat (node, symbol) pairs
+        n = 0
+        while True:
+            n += 1
+            held = label[i]
+            if held == 0 or held > 2:  # no pair completed: release any held bit, hold y
+                if held:
+                    out.append(held - 3)
+                    src.append(i)
+                label[i] = y
+            else:
+                k = kids[i]
+                if k == _NO_CHILDREN:
+                    k = self._grow(i)
+                if held == y:  # equal pair: parity T to the left, y to the right
+                    label[i] = 0
+                    if k > 0:
+                        pending.append(k + 1)
+                        pending.append(y)
+                        i, y = k, 2
+                        continue
+                else:  # unequal pair: hold bit 1 for HT, 0 for TH; parity H to the left
+                    label[i] = 5 - held
+                    if k > 0:
+                        i, y = k, 1
+                        continue
+            if not pending:
+                return n
+            y = pending.pop()
+            i = pending.pop()
 
-    def _deliver(self, node: Node, symbol: str) -> None:
-        # Depth-first: a delivery updates the node, releases any held bit,
-        # then fully processes the left child's message before the right's.
-        self.messages_total += 1
-        upd = _RULES[node.label, symbol]
-        node.label = upd.label
-        if upd.bit is not None:
-            node.bit_log.append(upd.bit)
-            self.output.append(upd.bit)
-        if upd.to_left is None:
-            return
-        limit = self.depth_limit
-        if limit is not None and node.depth >= limit:
-            return  # at the cap: label rules still apply, messages stop here
-        if node.left is None:
-            node.left = Node(node.depth + 1)
-            node.right = Node(node.depth + 1)
-        self._deliver(node.left, upd.to_left)
-        if upd.to_right is not None:
-            self._deliver(node.right, upd.to_right)
+    def _grow(self, i: int) -> int:
+        """Allocate node ``i``'s pair of children; return the left index."""
+        label, kids, depth = self._label, self._kids, self._depth
+        k = len(label)
+        d = depth[i] + 1
+        leaf = _AT_CAP if d == self.depth_limit else _NO_CHILDREN
+        label += (0, 0)
+        kids += (leaf, leaf)
+        depth += (d, d)
+        kids[i] = k
+        return k
 
     def snapshot(self) -> TraceNode:
         """Immutable copy of the current tree (labels plus bit logs)."""
-        return self._root.snapshot()
+        label, kids = self._label, self._kids
+        logs: list[list[int]] = [[] for _ in label]
+        for bit, i in zip(self.output, self._src):
+            logs[i].append(bit)
+
+        def build(i: int) -> TraceNode:
+            k = kids[i]
+            left = right = None
+            if k > 0:
+                left, right = build(k), build(k + 1)
+            return TraceNode(LABELS[label[i]], tuple(logs[i]), left, right)
+
+        return build(0)
 
     def clone(self) -> CoinExtractor:
         """Independent deep copy; processing one never affects the other."""
@@ -220,7 +340,10 @@ class CoinExtractor:
         dup.output = self.output.copy()
         dup.symbols_consumed = self.symbols_consumed
         dup.messages_total = self.messages_total
-        dup._root = self._root.clone()
+        dup._label = self._label.copy()
+        dup._kids = self._kids.copy()
+        dup._depth = self._depth.copy()
+        dup._src = self._src.copy()
         return dup
 
 
@@ -241,15 +364,15 @@ class SourceExhausted(Exception):
         )
 
 
-def take_bits(session, source: Iterable[str], k: int | None) -> tuple[list[int], int]:
+def take_bits(session: Session, source: Iterable, k: int | None) -> tuple[list[int], int]:
     """Drive any extractor session until ``k`` new bits are available.
 
-    Works with every session type in this package (coin, dice, Markov):
-    anything with ``process(item)`` and an ``output`` list.  Consumes items
-    from ``source`` lazily and stops as soon as the target is reached; the
-    final item may release more than one bit, in which case the surplus
-    stays in the session but is not returned.  ``k=None`` drains the whole
-    source and returns everything it released.
+    Works with every session type in this package (coin, dice, Markov,
+    von Neumann) through its ``feed``.  Consumes items from ``source``
+    lazily and stops as soon as the target is reached; the final item may
+    release more than one bit, in which case the surplus stays in the
+    session but is not returned.  ``k=None`` drains the whole source and
+    returns everything it released.
 
     Returns ``(bits, items_consumed)``.  Raises :class:`SourceExhausted`
     if the source ends first (partial bits attached).
@@ -259,15 +382,13 @@ def take_bits(session, source: Iterable[str], k: int | None) -> tuple[list[int],
     base = len(session.output)
     if k == 0:
         return [], 0
-    consumed = 0
-    for item in source:
-        session.process(item)
-        consumed += 1
-        if k is not None and len(session.output) - base >= k:
-            return session.output[base : base + k], consumed
+    consumed = session.feed(source, None if k is None else base + k)
+    bits = session.output[base:]
     if k is None:
-        return session.output[base:], consumed
-    raise SourceExhausted(session.output[base:], consumed, k)
+        return bits, consumed
+    if len(bits) >= k:
+        return bits[:k], consumed
+    raise SourceExhausted(bits, consumed, k)
 
 
 def extract_bits(

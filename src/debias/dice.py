@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coin import HEADS, TAILS, CoinExtractor, StepResult
+from .coin import HEADS, TAILS, CoinExtractor, Session, StepResult, check_depth_limit
 
 
 def face_width(m: int) -> int:
@@ -56,7 +56,7 @@ def prefix_stream(faces: Iterable[int], prefix: str, m: int) -> str:
     return "".join(out)
 
 
-class DiceExtractor:
+class DiceExtractor(Session):
     """Incremental debiasing session over face values ``0..m-1``.
 
     Forest slots are created lazily, keyed by the H/T prefix they
@@ -66,6 +66,7 @@ class DiceExtractor:
     def __init__(self, m: int, depth_limit: int | None = None) -> None:
         self.m = m
         self.width = face_width(m)
+        check_depth_limit(depth_limit)
         self.depth_limit = depth_limit
         self.trees: dict[str, CoinExtractor] = {}
         self.output: list[int] = []
@@ -88,12 +89,6 @@ class DiceExtractor:
         self.faces_consumed += 1
         self.messages_total += messages
         return StepResult(released, messages)
-
-    def process_all(self, faces: Iterable[int]) -> list[int]:
-        n0 = len(self.output)
-        for f in faces:
-            self.process(f)
-        return self.output[n0:]
 
     def clone(self) -> DiceExtractor:
         dup = DiceExtractor(self.m, self.depth_limit)

@@ -15,9 +15,9 @@ correlated with its past.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .coin import StepResult
+from .coin import Session, StepResult, check_depth_limit
 from .dice import DiceExtractor
 
 
@@ -39,7 +39,7 @@ def exit_stream(states: Sequence[int], state: int) -> list[int]:
     return [states[j + 1] for j in range(len(states) - 1) if states[j] == state]
 
 
-class MarkovExtractor:
+class MarkovExtractor(Session):
     """Incremental debiasing session over a walk on states ``0..n-1``.
 
     ``forests`` (per-state die extractors) and ``pending`` (the parked
@@ -50,6 +50,7 @@ class MarkovExtractor:
     def __init__(self, n_states: int, depth_limit: int | None = None) -> None:
         if not isinstance(n_states, int) or n_states < 2:
             raise ValueError(f"n_states must be an int >= 2, got {n_states!r}")
+        check_depth_limit(depth_limit)
         self.n_states = n_states
         self.depth_limit = depth_limit
         self.forests: dict[int, DiceExtractor] = {}
@@ -86,12 +87,6 @@ class MarkovExtractor:
         self.symbols_consumed += 1
         self.messages_total += messages
         return StepResult(released, messages)
-
-    def process_all(self, states: Iterable[int]) -> list[int]:
-        n0 = len(self.output)
-        for s in states:
-            self.process(s)
-        return self.output[n0:]
 
     def clone(self) -> MarkovExtractor:
         dup = MarkovExtractor(self.n_states, self.depth_limit)

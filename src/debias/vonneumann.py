@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coin import HEADS, TAILS
+from .coin import HEADS, TAILS, Session
 
 
-class VonNeumannExtractor:
+class VonNeumannExtractor(Session):
     """Pair-and-discard debiasing session."""
 
     def __init__(self) -> None:
@@ -39,7 +39,4 @@ class VonNeumannExtractor:
 
 def von_neumann(symbols: Iterable[str]) -> list[int]:
     """Debias a finite symbol sequence in one call."""
-    vn = VonNeumannExtractor()
-    for s in symbols:
-        vn.process(s)
-    return vn.output
+    return VonNeumannExtractor().process_all(symbols)

@@ -227,3 +227,9 @@ def test_empirical_message_mean_tracks_prediction():
         s.process(HEADS if rng.random() < p else TAILS)
     observed = s.messages_total / n
     assert observed == pytest.approx(processing_time(p, d), rel=0.01)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_rejects_boolean_depth_limit(bad):
+    with pytest.raises(ValueError):
+        CoinExtractor(bad)

@@ -155,3 +155,9 @@ def test_rejects_out_of_range_faces():
         s.process(-1)
     with pytest.raises(ValueError):
         DiceExtractor(1)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_rejects_bad_depth_limit_at_construction(bad):
+    with pytest.raises(ValueError):
+        DiceExtractor(3, bad)

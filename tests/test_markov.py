@@ -135,3 +135,9 @@ def test_depth_limit_is_forwarded_to_forests():
     for forest in s.forests.values():
         for tree in forest.trees.values():
             assert tree.snapshot().left is None
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_rejects_bad_depth_limit_at_construction(bad):
+    with pytest.raises(ValueError):
+        MarkovExtractor(2, bad)
