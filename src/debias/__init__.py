@@ -19,6 +19,7 @@ from .analysis import (
     entropy,
     extraction_rate,
     format_table,
+    level_traffic,
     processing_time,
     simulate_efficiency,
     table_csv,
@@ -103,6 +104,7 @@ __all__ = [
     "face_width",
     "flip_and_rebuild",
     "format_table",
+    "level_traffic",
     "node_update",
     "prefix_stream",
     "processing_time",

@@ -1,26 +1,16 @@
 """Closed-form efficiency analysis and seeded empirical measurement.
 
-The tree extractor's expected output per input symbol obeys a recursion
-over depth.  Write ``q = 1 - p`` and ``s = p^2 + q^2`` (the chance a pair
-is concordant; note ``s >= 1/2``).  The root releases ``pq`` bits per
-symbol in expectation.  Its left child sees one symbol per completed pair
-(half the parent's traffic) with concordance-parity bias, which by the
-H/T symmetry of the rules extracts like a coin of bias ``s``; the right
-child sees ``s/2`` symbols per parent symbol with bias ``p^2 / s``:
-
-    rate(p, 0) = p*q
-    rate(p, d) = p*q + rate(s, d-1)/2 + s * rate(p^2/s, d-1)/2
-
-The same accounting with every delivery charged 1 instead of ``pq`` gives
-the expected number of node deliveries per input symbol:
-
-    time(p, 0) = 1
-    time(p, d) = 1 + time(s, d-1)/2 + s * time(p^2/s, d-1)/2
-
-As depth grows, ``rate`` increases monotonically to the binary entropy
-``H(p)``, i.e. the extractor is asymptotically lossless; at ``p = 1/2``
-the recursions collapse to ``rate = (1 - (3/4)^(d+1))`` and
-``time = 4 - 3*(3/4)^d``.
+Every prediction comes from one forward pass over the tree's levels, the
+accounting of Peres's iterated von Neumann procedure.  A node fed ``w``
+i.i.d. symbols of bias ``b`` per input symbol releases ``w*b*(1-b)`` bits,
+sends ``w/2`` symbols to its left child (one per pair; the concordance
+parity extracts like a coin of bias ``s = b^2 + (1-b)^2 >= 1/2`` by the
+H/T symmetry of the rules) and ``w*s/2`` symbols of bias ``b^2/s`` to its
+right child (one per concordant pair).  Summed over levels ``0..d``,
+deliveries give the processing time and bits the extraction rate at depth
+limit ``d``; the rate rises monotonically to the binary entropy ``H(p)``.
+At ``p = 1/2`` every level holds the single bias 1/2 with weight
+``(3/4)^l``, so ``rate = 1 - (3/4)^(d+1)`` and ``time = 4 - 3*(3/4)^d``.
 """
 
 from __future__ import annotations
@@ -28,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .coin import HEADS, TAILS, CoinExtractor, take_bits
@@ -49,11 +40,12 @@ def _check_bias(p: float, open_interval: bool = False) -> float:
     return p
 
 
-def _check_depth(depth: int | None) -> int | None:
-    if depth is None:
+def _check_depth(depth: int | None, finite: bool = False) -> int | None:
+    if depth is None and not finite:
         return None
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise DomainError(f"depth must be None or a nonnegative int, got {depth!r}")
+        kinds = "a nonnegative int" if finite else "None or a nonnegative int"
+        raise DomainError(f"depth must be {kinds}, got {depth!r}")
     return depth
 
 
@@ -66,51 +58,46 @@ def entropy(p: float) -> float:
     return -p * math.log2(p) - q * math.log2(q)
 
 
-def _rate(p: float, d: int, cache: dict) -> float:
-    key = (d, p)
-    v = cache.get(key)
-    if v is None:
-        q = 1.0 - p
-        if d == 0:
-            v = p * q
-        else:
-            s = p * p + q * q  # never below 1/2, so the division is safe
-            v = p * q + 0.5 * _rate(s, d - 1, cache) + 0.5 * s * _rate(p * p / s, d - 1, cache)
-        cache[key] = v
-    return v
+def level_traffic(p: float, depth: int) -> list[tuple[float, float]]:
+    """Expected ``(node deliveries, bits released)`` per input symbol at each
+    tree level ``0..depth``, root first.  Equal biases share one entry."""
+    p = _check_bias(p)
+    depth = _check_depth(depth, finite=True)
+    level, out = {p: 1.0}, []  # level maps bias -> symbols per input symbol
+    while True:
+        out.append((sum(level.values()), sum(w * b * (1.0 - b) for b, w in level.items())))
+        if len(out) > depth:
+            return out
+        children: dict[float, float] = {}
+        for b, w in level.items():
+            s = b * b + (1.0 - b) * (1.0 - b)  # never below 1/2, so the division is safe
+            children[s] = children.get(s, 0.0) + 0.5 * w
+            children[b * b / s] = children.get(b * b / s, 0.0) + 0.5 * w * s
+        level = children
+
+
+def _running_totals(p: float, depth: int) -> list[tuple[float, float]]:
+    """Entry ``d``: (processing time, extraction rate) at depth limit ``d``.
+    Tables and single cells share this one sum, so they agree exactly."""
+    return list(accumulate(level_traffic(p, depth), lambda a, b: (a[0] + b[0], a[1] + b[1])))
+
+
+def _per_bit(rate: float) -> float:
+    return math.inf if rate == 0.0 else 1.0 / rate
 
 
 def extraction_rate(p: float, depth: int | None) -> float:
-    """Expected output bits per input symbol at the given depth limit.
-
-    ``depth=None`` returns the unlimited-depth limit, which is the binary
-    entropy of the source.
-    """
+    """Expected output bits per input symbol at the given depth limit;
+    ``depth=None`` gives the unlimited-depth limit, the source's entropy."""
     p = _check_bias(p)
-    depth = _check_depth(depth)
-    if depth is None:
+    if _check_depth(depth) is None:
         return entropy(p)
-    return _rate(p, depth, {})
+    return _running_totals(p, depth)[-1][1]
 
 
 def tosses_per_bit(p: float, depth: int | None) -> float:
     """Expected input symbols per output bit (``inf`` for a constant source)."""
-    r = extraction_rate(p, depth)
-    return math.inf if r == 0.0 else 1.0 / r
-
-
-def _time(p: float, d: int, cache: dict) -> float:
-    key = (d, p)
-    v = cache.get(key)
-    if v is None:
-        if d == 0:
-            v = 1.0
-        else:
-            q = 1.0 - p
-            s = p * p + q * q
-            v = 1.0 + 0.5 * _time(s, d - 1, cache) + 0.5 * s * _time(p * p / s, d - 1, cache)
-        cache[key] = v
-    return v
+    return _per_bit(extraction_rate(p, depth))
 
 
 def processing_time(p: float, depth: int) -> float:
@@ -119,11 +106,7 @@ def processing_time(p: float, depth: int) -> float:
     Always in ``[1, depth + 1]``.  Unlike the rate, this has no finite
     unlimited-depth value for every ``p``, so ``depth`` must be an int.
     """
-    p = _check_bias(p)
-    depth = _check_depth(depth)
-    if depth is None:
-        raise DomainError("processing time needs a finite depth")
-    return _time(p, depth, {})
+    return _running_totals(p, depth)[-1][0]
 
 
 class TableRow(NamedTuple):
@@ -133,6 +116,15 @@ class TableRow(NamedTuple):
     values: tuple[float, ...]
 
 
+def _table_columns(depths: Sequence[int], biases: Sequence[float]):
+    """Check every depth and bias before any work, then return them with one
+    pass of running totals per bias, down to the deepest finite depth."""
+    depths = [_check_depth(d) for d in depths]
+    biases = [_check_bias(p) for p in biases]
+    deepest = max((d for d in depths if d is not None), default=0)
+    return depths, biases, [_running_totals(p, deepest) for p in biases]
+
+
 def tosses_table(
     depths: Sequence[int] = TABLE_DEPTHS,
     biases: Sequence[float] = TABLE_BIASES,
@@ -140,9 +132,12 @@ def tosses_table(
 ) -> list[TableRow]:
     """Expected tosses per output bit, one row per depth, one column per
     bias; optionally ends with the unlimited-depth row ``1/H(p)``."""
-    rows = [TableRow(d, tuple(tosses_per_bit(p, d) for p in biases)) for d in depths]
+    depths, biases, columns = _table_columns(depths, biases)
+    limit = tuple(_per_bit(entropy(p)) for p in biases)
+    rows = [TableRow(d, limit if d is None else tuple(_per_bit(c[d][1]) for c in columns))
+            for d in depths]
     if include_limit:
-        rows.append(TableRow(None, tuple(tosses_per_bit(p, None) for p in biases)))
+        rows.append(TableRow(None, limit))
     return rows
 
 
@@ -152,7 +147,8 @@ def time_table(
 ) -> list[TableRow]:
     """Expected node deliveries per input symbol, same layout as
     :func:`tosses_table` (no limit row)."""
-    return [TableRow(d, tuple(processing_time(p, d) for p in biases)) for d in depths]
+    depths, _, columns = _table_columns([_check_depth(d, finite=True) for d in depths], biases)
+    return [TableRow(d, tuple(col[d][0] for col in columns)) for d in depths]
 
 
 def _depth_label(depth: int | None) -> str:
@@ -197,7 +193,7 @@ def efficiency_report(p: float, depth: int | None) -> EfficiencyReport:
         bias=float(p),
         depth=depth,
         rate=rate,
-        tosses_per_bit=math.inf if rate == 0.0 else 1.0 / rate,
+        tosses_per_bit=_per_bit(rate),
         entropy_bits=h,
         efficiency=0.0 if h == 0.0 else rate / h,
     )
@@ -237,6 +233,7 @@ def simulate_efficiency(p: float, depth: int | None, k: int, seed: int = 0) -> S
     depth = _check_depth(depth)
     if not isinstance(k, int) or k <= 0:
         raise DomainError(f"k must be a positive int, got {k!r}")
+    time, rate = (None, entropy(p)) if depth is None else _running_totals(p, depth)[-1]
     session = CoinExtractor(depth)
     _, n = take_bits(session, bernoulli_symbols(p, random.Random(seed)), k)
     return SimulationResult(
@@ -248,6 +245,6 @@ def simulate_efficiency(p: float, depth: int | None, k: int, seed: int = 0) -> S
         messages_total=session.messages_total,
         tosses_per_bit=n / k,
         messages_per_symbol=session.messages_total / n,
-        expected_tosses_per_bit=tosses_per_bit(p, depth),
-        expected_messages_per_symbol=None if depth is None else processing_time(p, depth),
+        expected_tosses_per_bit=_per_bit(rate),
+        expected_messages_per_symbol=time,
     )

@@ -15,8 +15,8 @@ pattern carries identical mass, and total mass must come back as exactly
 The stopping prefixes explored this way are mutually prefix-free: once a
 branch stops, none of its extensions are walked.
 
-Enumeration is exponential in the horizon, so each verifier has a small
-cap; pass ``force=True`` to exceed it deliberately.
+Enumeration is exponential in the horizon and the mass table in ``k``, so
+each verifier caps both; pass ``force=True`` to exceed the cap deliberately.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .coin import HEADS, TAILS, CoinExtractor
 from .dice import DiceExtractor
 from .markov import MarkovExtractor
 
-# Enumeration size guards: leaves explored are bounded by branching^horizon.
+# Enumeration size guards on branching^horizon leaves and 2^k output patterns.
 MAX_COIN_LEAVES = 2**14
 MAX_DICE_LEAVES = 2**14
 MAX_MARKOV_LEAVES = 2**10
@@ -42,8 +42,8 @@ class HorizonTooLarge(ValueError):
         self.leaves = leaves
         self.cap = cap
         super().__init__(
-            f"enumeration would walk about {leaves} branches (cap {cap}); "
-            f"pass force=True to run it anyway"
+            f"enumeration exceeds its cap of {cap} branches or output patterns "
+            f"(size {leaves} or more); pass force=True to run it anyway"
         )
 
 
@@ -121,6 +121,17 @@ def _check_counts(k: int, n_max: int) -> None:
         raise ValueError(f"n_max must be a positive int, got {n_max!r}")
 
 
+def _check_size(branching: int, horizon: int, k: int, cap: int, force: bool) -> None:
+    """Raise unless both the ``branching**horizon`` leaves of the walk and the
+    ``2**k`` patterns :func:`_enumerate` tabulates up front fit under ``cap``."""
+    # Every base is at least 2, so clipping an exponent at cap.bit_length()
+    # keeps the comparison exact without building a huge int.
+    top = cap.bit_length()
+    size = max(branching ** min(horizon, top), 2 ** min(k, top))
+    if size > cap and not force:
+        raise HorizonTooLarge(size, cap)
+
+
 def _enumerate(
     make_session: Callable[[], object],
     first_moves: Sequence[tuple[object, Fraction]],
@@ -162,8 +173,7 @@ def verify_coin(
     exact ``P(H) = p`` (int, str like ``"1/3"``, or Fraction)."""
     p = _as_probability(p, "p")
     _check_counts(k, n_max)
-    if 2**n_max > MAX_COIN_LEAVES and not force:
-        raise HorizonTooLarge(2**n_max, MAX_COIN_LEAVES)
+    _check_size(2, n_max, k, MAX_COIN_LEAVES, force)
     dist = ((HEADS, p), (TAILS, 1 - p))
     masses, incomplete = _enumerate(
         lambda: CoinExtractor(depth_limit), dist, lambda _: dist, n_max, k
@@ -187,8 +197,7 @@ def verify_dice(
     if sum(probs) != 1:
         raise ValueError(f"face probabilities must sum to 1, got {sum(probs)}")
     _check_counts(k, n_max)
-    if m**n_max > MAX_DICE_LEAVES and not force:
-        raise HorizonTooLarge(m**n_max, MAX_DICE_LEAVES)
+    _check_size(m, n_max, k, MAX_DICE_LEAVES, force)
     moves = tuple((f, pr) for f, pr in enumerate(probs))
     masses, incomplete = _enumerate(
         lambda: DiceExtractor(m, depth_limit), moves, lambda _: moves, n_max, k
@@ -220,8 +229,7 @@ def verify_markov(
     if not isinstance(start, int) or not 0 <= start < m:
         raise ValueError(f"start must be a state in 0..{m - 1}, got {start!r}")
     _check_counts(k, n_max)
-    if m**n_max > MAX_MARKOV_LEAVES and not force:
-        raise HorizonTooLarge(m**n_max, MAX_MARKOV_LEAVES)
+    _check_size(m, n_max, k, MAX_MARKOV_LEAVES, force)
     moves_from = [tuple((j, pr) for j, pr in enumerate(row)) for row in rows]
     masses, incomplete = _enumerate(
         lambda: MarkovExtractor(m, depth_limit),

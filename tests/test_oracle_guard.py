@@ -1,0 +1,43 @@
+"""The enumeration size guard counts the 2**k pattern table as well as the
+branching**horizon walk, in all three verifiers."""
+
+import time
+from fractions import Fraction as F
+
+import pytest
+
+from debias.cli import main
+from debias.oracle import HorizonTooLarge, verify_coin, verify_dice, verify_markov
+
+HALF = (F(1, 2), F(1, 2))
+
+
+def test_pattern_table_counts_against_the_cap():
+    with pytest.raises(HorizonTooLarge):
+        verify_coin(F(1, 3), 4, 16)
+    with pytest.raises(HorizonTooLarge):
+        verify_dice(HALF, 4, 15)
+    with pytest.raises(HorizonTooLarge):
+        verify_markov((HALF, HALF), 0, 4, 11)
+    assert verify_coin(F(1, 3), 4, 14).total == 1  # 2**14 patterns is at the cap
+
+
+def test_force_still_runs():
+    r = verify_coin(F(1, 3), 4, 16, force=True)
+    assert len(r.masses) == 2**16
+    assert r.total == 1
+
+
+def test_huge_exponents_are_refused_at_once():
+    start = time.perf_counter()
+    for n_max, k in ((10**9, 1), (4, 10**9)):
+        with pytest.raises(HorizonTooLarge):
+            verify_coin(F(1, 3), n_max, k)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_refuses_wide_bits(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--mode", "coin", "--p", "1/3", "--n-max", "4", "--bits", "40"])
+    assert exc.value.code == 4
+    assert "force" in capsys.readouterr().err
