@@ -36,7 +36,10 @@ to rebuild the per-node bit logs.  A delivery and everything it forwards
 run on an explicit stack, in the same depth-first, left-before-right
 order as the recursive definition.  ``H``/``T`` and the string labels
 exist only at the edges: :func:`node_update`, :class:`TraceNode` and
-``snapshot()``.
+``snapshot()``.  The lists belong to :class:`Arena`, which holds any
+number of trees, each reached from its own root: a coin session is the
+one-tree case, and a dice or Markov session keeps all of its trees in one
+arena (see :mod:`debias.dice`), shown per tree through :class:`TreeView`.
 
 :meth:`CoinExtractor.feed` is the bulk entry point.  It drains an
 iterable with the session state in locals, handles the root inline (about
@@ -155,8 +158,9 @@ def check_depth_limit(depth_limit) -> None:
 
 _UNBOUNDED = sys.maxsize  # ``until`` for a feed that runs to the end of its source
 
-# Left-child entries in the arena other than a child index.  The root is
-# never a child, so index 0 can mean "not allocated yet".
+# Left-child entries in the arena other than a child index.  The first node
+# of an arena is a root, and a root is never a child, so index 0 can mean
+# "not allocated yet".
 _NO_CHILDREN = 0
 _AT_CAP = -1  # the node sits at the depth cap and forwards nothing
 
@@ -198,76 +202,39 @@ class Session:
         return self.output[n0:]
 
 
-class CoinExtractor(Session):
-    """Incremental debiasing session over an ``H``/``T`` symbol stream.
+class Arena(Session):
+    """Base of the tree sessions: one set of int-coded node lists holding
+    any number of trees, each reached from its own root.
 
-    Feed symbols with :meth:`feed` or :meth:`process`; released bits
-    accumulate in ``output``.  The session is deterministic: the same
-    symbol sequence always yields the same output, tree, and message
-    count, however it is split between calls.
-
-    ``depth_limit=None`` means unlimited recycling depth.
+    Node ``i`` has a label code ``_label[i]``, a left-child index
+    ``_kids[i]`` (or ``_NO_CHILDREN`` / ``_AT_CAP``; the right child is the
+    next index) and a depth ``_depth[i]``.  ``_src[j]`` is the node that
+    released ``output[j]``.  The nodes of different trees interleave in the
+    lists.
     """
 
-    def __init__(self, depth_limit: int | None = None) -> None:
+    def __init__(self, depth_limit: int | None) -> None:
         check_depth_limit(depth_limit)
         self.depth_limit = depth_limit
         self.output: list[int] = []
-        self.symbols_consumed = 0
         self.messages_total = 0
-        # The arena, indexed by node (root 0): label code, left-child index
-        # (or _NO_CHILDREN / _AT_CAP) and depth.  _src[j] is the node that
-        # released output[j].
-        self._label = [0]
-        self._kids = [_AT_CAP if depth_limit == 0 else _NO_CHILDREN]
-        self._depth = [0]
+        self._label: list[int] = []
+        self._kids: list[int] = []
+        self._depth: list[int] = []
         self._src: list[int] = []
 
-    def feed(self, items: Iterable[str], until: int | None = None) -> int:
-        """Consume symbols until ``items`` runs out or ``len(output)``
-        reaches ``until``; return the number of symbols consumed.
+    def _new_root(self) -> int:
+        """Allocate an empty tree; return the index of its root."""
+        i = len(self._label)
+        self._label.append(0)
+        self._kids.append(_AT_CAP if self.depth_limit == 0 else _NO_CHILDREN)
+        self._depth.append(0)
+        return i
 
-        Equivalent to calling :meth:`process` on each symbol in turn.  A
-        symbol other than ``H``/``T`` raises ``ValueError`` and leaves the
-        session as it was after the symbols before it.
-        """
-        out, src, label = self.output, self._src, self._label
-        cascade = self._cascade
-        stop = _UNBOUNDED if until is None else until
-        if len(out) >= stop:
-            return 0
-        n = extra = 0  # symbols consumed; deliveries beyond one per symbol
-        try:
-            for s in items:
-                if s == HEADS:
-                    y = 1
-                elif s == TAILS:
-                    y = 2
-                else:
-                    raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
-                n += 1
-                held = label[0]
-                if held == 0:
-                    label[0] = y
-                    continue
-                if held > 2:  # release the root's held bit, then hold y
-                    out.append(held - 3)
-                    src.append(0)
-                    label[0] = y
-                else:  # y completes a pair at the root
-                    extra += cascade(0, y) - 1
-                if len(out) >= stop:
-                    break
-        finally:
-            self.symbols_consumed += n
-            self.messages_total += n + extra
-        return n
-
-    def process(self, symbol: str) -> StepResult:
-        """Consume one symbol; return the bits it released and the number
-        of node deliveries it triggered (always at least 1)."""
+    def _step(self, item) -> StepResult:
+        """One-item ``feed``; return the bits and deliveries it added."""
         n0, m0 = len(self.output), self.messages_total
-        self.feed((symbol,))
+        self.feed((item,))
         return StepResult(self.output[n0:], self.messages_total - m0)
 
     def _cascade(self, i: int, y: int) -> int:
@@ -318,8 +285,8 @@ class CoinExtractor(Session):
         kids[i] = k
         return k
 
-    def snapshot(self) -> TraceNode:
-        """Immutable copy of the current tree (labels plus bit logs)."""
+    def _snapshot(self, root: int) -> TraceNode:
+        """Immutable copy of the tree at ``root`` (labels plus bit logs)."""
         label, kids = self._label, self._kids
         logs: list[list[int]] = [[] for _ in label]
         for bit, i in zip(self.output, self._src):
@@ -332,18 +299,129 @@ class CoinExtractor(Session):
                 left, right = build(k), build(k + 1)
             return TraceNode(LABELS[label[i]], tuple(logs[i]), left, right)
 
-        return build(0)
+        return build(root)
 
-    def clone(self) -> CoinExtractor:
-        """Independent deep copy; processing one never affects the other."""
-        dup = CoinExtractor(self.depth_limit)
+    def _released_by(self, roots: Iterable[int]) -> list[int]:
+        """The bits released by the trees at ``roots``, in output order."""
+        kids = self._kids
+        nodes = set()
+        stack = list(roots)
+        while stack:
+            i = stack.pop()
+            nodes.add(i)
+            k = kids[i]
+            if k > 0:
+                stack += (k, k + 1)
+        return [bit for bit, i in zip(self.output, self._src) if i in nodes]
+
+    def _copy(self):
+        """New session of the same class, made without ``__init__``, with a
+        copy of the output and the arena.  The subclass's ``clone`` copies
+        the attributes it adds."""
+        dup = object.__new__(self.__class__)
+        dup.depth_limit = self.depth_limit
         dup.output = self.output.copy()
-        dup.symbols_consumed = self.symbols_consumed
         dup.messages_total = self.messages_total
         dup._label = self._label.copy()
         dup._kids = self._kids.copy()
         dup._depth = self._depth.copy()
         dup._src = self._src.copy()
+        return dup
+
+
+class TreeView:
+    """Read-only view of one tree of an arena session, built on access.
+
+    ``output`` holds the bits the tree's nodes released, in order, and
+    :meth:`snapshot` its :class:`TraceNode`.  Both read the session's
+    current state and equal what a :class:`CoinExtractor` fed the tree's
+    own sub-stream reports.
+    """
+
+    __slots__ = ("_arena", "_root")
+
+    def __init__(self, arena: Arena, root: int) -> None:
+        self._arena = arena
+        self._root = root
+
+    @property
+    def output(self) -> list[int]:
+        return self._arena._released_by((self._root,))
+
+    def snapshot(self) -> TraceNode:
+        return self._arena._snapshot(self._root)
+
+
+class CoinExtractor(Arena):
+    """Incremental debiasing session over an ``H``/``T`` symbol stream.
+
+    Feed symbols with :meth:`feed` or :meth:`process`; released bits
+    accumulate in ``output``.  The session is deterministic: the same
+    symbol sequence always yields the same output, tree, and message
+    count, however it is split between calls.
+
+    ``depth_limit=None`` means unlimited recycling depth.  The session is
+    the one-tree case of :class:`Arena`, with its root at index 0.
+    """
+
+    def __init__(self, depth_limit: int | None = None) -> None:
+        super().__init__(depth_limit)
+        self.symbols_consumed = 0
+        self._new_root()
+
+    def feed(self, items: Iterable[str], until: int | None = None) -> int:
+        """Consume symbols until ``items`` runs out or ``len(output)``
+        reaches ``until``; return the number of symbols consumed.
+
+        Equivalent to calling :meth:`process` on each symbol in turn.  A
+        symbol other than ``H``/``T`` raises ``ValueError`` and leaves the
+        session as it was after the symbols before it.
+        """
+        out, src, label = self.output, self._src, self._label
+        cascade = self._cascade
+        stop = _UNBOUNDED if until is None else until
+        if len(out) >= stop:
+            return 0
+        n = extra = 0  # symbols consumed; deliveries beyond one per symbol
+        try:
+            for s in items:
+                if s == HEADS:
+                    y = 1
+                elif s == TAILS:
+                    y = 2
+                else:
+                    raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
+                n += 1
+                held = label[0]
+                if held == 0:
+                    label[0] = y
+                    continue
+                if held > 2:  # release the root's held bit, then hold y
+                    out.append(held - 3)
+                    src.append(0)
+                    label[0] = y
+                else:  # y completes a pair at the root
+                    extra += cascade(0, y) - 1
+                if len(out) >= stop:
+                    break
+        finally:
+            self.symbols_consumed += n
+            self.messages_total += n + extra
+        return n
+
+    def process(self, symbol: str) -> StepResult:
+        """Consume one symbol; return the bits it released and the number
+        of node deliveries it triggered (always at least 1)."""
+        return self._step(symbol)
+
+    def snapshot(self) -> TraceNode:
+        """Immutable copy of the current tree (labels plus bit logs)."""
+        return self._snapshot(0)
+
+    def clone(self) -> CoinExtractor:
+        """Independent deep copy; processing one never affects the other."""
+        dup = self._copy()
+        dup.symbols_consumed = self.symbols_consumed
         return dup
 
 

@@ -1,24 +1,33 @@
-"""Extraction from a Markov chain via one die extractor per state.
+"""Extraction from a Markov chain via one die forest per state.
 
 Transitions out of a state are i.i.d. draws from that state's row of the
 transition matrix, so the chain is split into per-state exit streams:
 every time state ``i`` is left, the state it went to joins stream ``i``.
-Each stream feeds its own :class:`debias.dice.DiceExtractor`.
+Each stream is debiased as the faces of an ``n_states``-sided die, by a
+forest of coin trees of its own (see :mod:`debias.dice`).
 
 Deliveries are lagged by one visit: the exit observed when leaving state
 ``i`` is parked as pending for ``i`` and only delivered to ``i``'s
-extractor the next time ``i`` is left, replacing the park.  The lag plays
+forest the next time ``i`` is left, replacing the park.  The lag plays
 the same role as the held-bit delay inside the coin extractor: it keeps
 every output prefix exactly uniform even though the walk's future is
 correlated with its past.
+
+All forests of a session share one :class:`debias.coin.Arena`: state
+``q`` uses the die slots of :mod:`debias.dice` offset by ``q << w``, ``w``
+being the word width, and each slot's root is allocated on its first
+delivery.  Nothing is sized by ``n_states``, so a large state space costs
+only what the walk visits.  ``pending`` maps each state left so far to
+its parked exit, and ``forests`` is a read-only view of the per-state
+forests, built on access.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .coin import Session, StepResult, check_depth_limit
-from .dice import DiceExtractor
+from .coin import _UNBOUNDED, Arena, StepResult, TreeView
+from .dice import _face_deliverer, _is_index, _slot_prefix, face_width
 
 
 class UnknownState(Exception):
@@ -39,26 +48,96 @@ def exit_stream(states: Sequence[int], state: int) -> list[int]:
     return [states[j + 1] for j in range(len(states) - 1) if states[j] == state]
 
 
-class MarkovExtractor(Session):
+class ForestView:
+    """Read-only view of one state's forest in a :class:`MarkovExtractor`.
+
+    ``faces_consumed`` counts the exits delivered to it, ``trees`` maps
+    each used slot's ``H``/``T`` prefix to a :class:`debias.coin.TreeView`,
+    and ``output`` holds the bits those trees released, in order.
+    """
+
+    __slots__ = ("_arena", "_roots", "faces_consumed", "trees")
+
+    def __init__(self, arena: Arena, faces_consumed: int, slots: dict[int, int]) -> None:
+        self._arena = arena
+        self._roots = tuple(slots.values())
+        self.faces_consumed = faces_consumed
+        self.trees = {_slot_prefix(slot): TreeView(arena, r) for slot, r in slots.items()}
+
+    @property
+    def output(self) -> list[int]:
+        return self._arena._released_by(self._roots)
+
+
+class MarkovExtractor(Arena):
     """Incremental debiasing session over a walk on states ``0..n-1``.
 
-    ``forests`` (per-state die extractors) and ``pending`` (the parked
-    exit per state) are exposed for inspection; states never visited have
-    no forest entry at all.
+    ``forests`` (a view of the per-state forests) and ``pending`` (the
+    parked exit per state) are exposed for inspection; states never
+    visited have no entry in either.
     """
 
     def __init__(self, n_states: int, depth_limit: int | None = None) -> None:
         if not isinstance(n_states, int) or n_states < 2:
             raise ValueError(f"n_states must be an int >= 2, got {n_states!r}")
-        check_depth_limit(depth_limit)
+        super().__init__(depth_limit)
         self.n_states = n_states
-        self.depth_limit = depth_limit
-        self.forests: dict[int, DiceExtractor] = {}
+        self.width = face_width(n_states)
         self.pending: dict[int, int] = {}
         self.last_state: int | None = None
-        self.output: list[int] = []
         self.symbols_consumed = 0
-        self.messages_total = 0
+        self._roots: dict[int, int] = {}  # (state << width) | slot -> root index
+        self._faces: dict[int, int] = {}  # state -> exits delivered to its forest
+
+    @property
+    def forests(self) -> dict[int, ForestView]:
+        w = self.width
+        by_state: dict[int, dict[int, int]] = {}
+        for key, r in self._roots.items():
+            by_state.setdefault(key >> w, {})[key & ((1 << w) - 1)] = r
+        return {q: ForestView(self, self._faces[q], slots) for q, slots in by_state.items()}
+
+    def feed(self, states: Iterable[int], until: int | None = None) -> int:
+        """Consume steps of the walk until ``states`` runs out or
+        ``len(output)`` reaches ``until``; return the number consumed.
+
+        Equivalent to calling :meth:`process` on each state in turn.  A
+        state outside ``0..n_states-1`` (or a bool) raises
+        :class:`UnknownState` and leaves the session as it was after the
+        states before it.
+        """
+        out = self.output
+        stop = _UNBOUNDED if until is None else until
+        if len(out) >= stop:
+            return 0
+        deliver = _face_deliverer(self)
+        pending, faces = self.pending, self._faces
+        n_states, w = self.n_states, self.width
+        last = self.last_state
+        n = messages = 0
+        try:
+            for state in states:
+                if type(state) is not int or not 0 <= state < n_states:  # off the fast path
+                    if not _is_index(state, n_states):
+                        raise UnknownState(state, n_states)
+                n += 1
+                prev, last = last, state
+                if prev is None:
+                    continue
+                parked = pending.get(prev)
+                pending[prev] = state
+                if parked is None:  # first exit from prev: park it, deliver nothing
+                    faces[prev] = 0
+                    continue
+                faces[prev] += 1
+                messages += deliver(prev << w, parked)
+                if len(out) >= stop:
+                    break
+        finally:
+            self.last_state = last
+            self.symbols_consumed += n
+            self.messages_total += messages
+        return n
 
     def process(self, state: int) -> StepResult:
         """Consume one step of the walk; return bits released this step.
@@ -67,33 +146,16 @@ class MarkovExtractor(Session):
         the new exit of the previous state and deliver the exit that was
         already parked there, if any.
         """
-        if not isinstance(state, int) or not 0 <= state < self.n_states:
-            raise UnknownState(state, self.n_states)
-        released: list[int] = []
-        messages = 0
-        prev = self.last_state
-        if prev is not None:
-            parked = self.pending.get(prev)
-            if parked is not None:
-                forest = self.forests.get(prev)
-                if forest is None:
-                    forest = self.forests[prev] = DiceExtractor(self.n_states, self.depth_limit)
-                step = forest.process(parked)
-                released.extend(step.bits)
-                messages += step.messages
-            self.pending[prev] = state
-        self.last_state = state
-        self.output.extend(released)
-        self.symbols_consumed += 1
-        self.messages_total += messages
-        return StepResult(released, messages)
+        return self._step(state)
 
     def clone(self) -> MarkovExtractor:
-        dup = MarkovExtractor(self.n_states, self.depth_limit)
-        dup.forests = {i: f.clone() for i, f in self.forests.items()}
+        """Independent copy; processing one never affects the other."""
+        dup = self._copy()
+        dup.n_states = self.n_states
+        dup.width = self.width
         dup.pending = self.pending.copy()
         dup.last_state = self.last_state
-        dup.output = self.output.copy()
         dup.symbols_consumed = self.symbols_consumed
-        dup.messages_total = self.messages_total
+        dup._roots = self._roots.copy()
+        dup._faces = self._faces.copy()
         return dup

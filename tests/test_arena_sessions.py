@@ -1,0 +1,193 @@
+"""The dice and Markov sessions on one shared arena, checked against the
+per-tree sessions in ``per_tree_reference``, plus their bulk-feed edge
+cases: bad items in mid-stream, booleans, ``take_bits`` and ``clone``."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import per_tree_reference as ref
+from debias.coin import SourceExhausted, take_bits
+from debias.dice import DiceExtractor, binarize, prefix_stream
+from debias.markov import MarkovExtractor, UnknownState
+from debias.oracle import verify_markov
+
+DEPTHS = [None, 0, 1, 3, 15]
+SESSIONS = {
+    "dice": (DiceExtractor, ref.DiceExtractor, ValueError),
+    "markov": (MarkovExtractor, ref.MarkovExtractor, UnknownState),
+}
+
+
+def trees(forest):
+    """Per-slot snapshots and outputs, in slot order."""
+    return [(p, t.snapshot(), t.output) for p, t in forest.trees.items()]
+
+
+def state(s):
+    """Everything a dice or Markov session exposes, in a comparable form."""
+    common = (s.output, s.messages_total)
+    if hasattr(s, "forests"):
+        forests = [(q, f.faces_consumed, f.output, trees(f)) for q, f in s.forests.items()]
+        return (*common, s.symbols_consumed, list(s.pending.items()), s.last_state, forests)
+    return (*common, s.faces_consumed, trees(s))
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except SourceExhausted as exc:
+        return "exhausted", (exc.bits, exc.symbols_consumed, exc.requested)
+
+
+cases = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(sorted(SESSIONS)),
+        "m": st.integers(2, 9),
+        "depth": st.sampled_from(DEPTHS),
+    }
+)
+
+
+def pair(case):
+    new, old, _ = SESSIONS[case["kind"]]
+    return new(case["m"], case["depth"]), old(case["m"], case["depth"])
+
+
+def draw_items(data, m, max_size):
+    """A seeded stream of faces or states from a random loaded die, long
+    enough for ``until`` to land inside most chunks."""
+    n = data.draw(st.integers(0, max_size), label="length")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    weights = [rng.random() for _ in range(m)]
+    return rng.choices(range(m), weights, k=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases, data=st.data())
+def test_matches_per_tree_reference_over_chunks_and_targets(case, data):
+    m = case["m"]
+    items = draw_items(data, m, 300)
+    new, old = pair(case)
+    pos = 0
+    while pos < len(items):
+        end = data.draw(st.integers(pos + 1, len(items)), label="chunk end")
+        how = data.draw(st.sampled_from(["feed", "process", "clone"]), label="how")
+        if how == "process":
+            for x in items[pos:end]:
+                assert new.process(x) == old.process(x)
+            pos = end
+        else:
+            if how == "clone":
+                parent, frozen = new, state(new)
+                new = new.clone()
+            delta = data.draw(st.none() | st.integers(-2, 20), label="until - len(output)")
+            until = None if delta is None else len(new.output) + delta
+            chunk, ref_chunk = iter(items[pos:end]), iter(items[pos:end])
+            n = new.feed(chunk, until)
+            assert n == old.feed(ref_chunk, until)
+            # nothing is pulled past the target
+            assert list(chunk) == list(ref_chunk) == items[pos + n : end]
+            if how == "clone":
+                assert state(parent) == frozen
+            pos = pos + n if n else end  # a chunk fed to neither session is dropped
+        assert state(new) == state(old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases, data=st.data(), k=st.none() | st.integers(0, 60))
+def test_take_bits_matches_per_item_reference(case, data, k):
+    m = case["m"]
+    items = draw_items(data, m, 300)
+    split = data.draw(st.integers(0, len(items)), label="split")
+    head, tail = items[:split], items[split:]
+    new, old = pair(case)
+    new.feed(head)
+    old.feed(head)
+    source = iter(tail)
+    got = outcome(lambda: take_bits(new, source, k))
+    assert got == outcome(lambda: take_bits(old, iter(tail), k))
+    assert list(source) == tail[got[1][1] :]
+    assert state(new) == state(old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=cases,
+    data=st.data(),
+    bad=st.sampled_from([-1, "m", 1.5, "0", None, True, False]),
+)
+def test_bad_item_leaves_the_session_after_its_prefix(case, data, bad):
+    m = case["m"]
+    xs = draw_items(data, m, 100)
+    ys = draw_items(data, m, 10)
+    bad = m if bad == "m" else bad
+    new, _ = pair(case)
+    per_item, _ = pair(case)
+    error = SESSIONS[case["kind"]][2]
+    with pytest.raises(error):
+        new.feed([*xs, bad, *ys])
+    for x in xs:
+        per_item.process(x)
+    assert state(new) == state(per_item)
+    with pytest.raises(error):
+        new.process(bad)
+    assert state(new) == state(per_item)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_booleans_are_not_faces(bad):
+    with pytest.raises(ValueError):
+        binarize(bad, 3)
+    with pytest.raises(ValueError):
+        prefix_stream([0, bad], "", 3)
+    s = DiceExtractor(3)
+    s.feed([0, 1, 2])
+    before = state(s)
+    with pytest.raises(ValueError):
+        s.process(bad)
+    assert state(s) == before
+    with pytest.raises(ValueError):
+        s.feed([1, bad, 2])
+    expected = DiceExtractor(3)
+    expected.feed([0, 1, 2, 1])
+    assert state(s) == state(expected)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_booleans_are_not_states(bad):
+    s = MarkovExtractor(3)
+    with pytest.raises(UnknownState) as exc:
+        s.feed([bad, False])
+    assert exc.value.state is bad
+    assert (s.pending, s.last_state, s.symbols_consumed) == ({}, None, 0)
+    s.feed([0, 1, 0, 2])
+    before = state(s)
+    with pytest.raises(UnknownState):
+        s.process(bad)
+    assert state(s) == before
+    assert all(type(q) is int and type(x) is int for q, x in s.pending.items())
+    with pytest.raises(ValueError):  # the oracle's start state, checked up front
+        verify_markov([["1/2", "1/2"], ["1/3", "2/3"]], bad, 4, 1)
+
+
+def test_markov_clone_is_independent():
+    rng = random.Random(4)
+    walk = [rng.randrange(4) for _ in range(400)]
+    other = [rng.randrange(4) for _ in range(100)]
+    s = MarkovExtractor(4, depth_limit=3)
+    s.feed(walk[:200])
+    frozen = state(s)
+    c = s.clone()
+    c.feed(walk[200:])
+    assert state(s) == frozen
+    full = MarkovExtractor(4, depth_limit=3)
+    full.feed(walk)
+    assert state(c) == state(full)
+    s.feed(other)  # and the other way round
+    assert state(c) == state(full)
+    forked = MarkovExtractor(4, depth_limit=3)
+    forked.feed(walk[:200] + other)
+    assert state(s) == state(forked)
