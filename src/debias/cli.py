@@ -9,6 +9,8 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -63,42 +65,59 @@ def _parse_depth(text: str):
 # ---------------------------------------------------------------- input
 
 
+# Every reader yields one batch per read of the input, so that the bits a
+# batch releases can be written before the next read blocks.  A reader that
+# meets a bad byte first yields the batch of symbols before it, then raises.
+
+
 def _byte_chunks(stream):
+    # read1 returns what a pipe holds now instead of waiting for a full read
+    read = getattr(stream, "read1", stream.read)
     while True:
-        chunk = stream.read(65536)
+        chunk = read(io.DEFAULT_BUFFER_SIZE)
         if not chunk:
             return
         yield chunk
 
 
+_UPPER_COIN = bytes.maketrans(b"ht", b"HT")
+
+
 def _coin_symbols(stream):
-    """Yield H/T from text bytes; case-insensitive, whitespace skipped."""
+    """Yield one ``str`` of H/T per read of text bytes; case-insensitive,
+    whitespace skipped."""
     offset = 0
     for chunk in _byte_chunks(stream):
-        for b in chunk:
-            if b in b"Hh":
-                yield HEADS
-            elif b in b"Tt":
-                yield TAILS
-            elif b not in _WHITESPACE:
-                raise BadSymbol(offset, f"expected H or T, got {chr(b)!r}")
-            offset += 1
+        batch = chunk.translate(_UPPER_COIN, _WHITESPACE)
+        bad = batch.translate(None, b"HT")
+        if bad:
+            at = chunk.index(bad[0])  # no earlier byte is bad, so none equals it
+            yield chunk[:at].translate(_UPPER_COIN, _WHITESPACE).decode("ascii")
+            raise BadSymbol(offset + at, f"expected H or T, got {chr(bad[0])!r}")
+        yield batch.decode("ascii")
+        offset += len(chunk)
+
+
+_BIT_SYMBOLS = str.maketrans("10", HEADS + TAILS)
+_BYTE_SYMBOLS = [format(b, "08b").translate(_BIT_SYMBOLS) for b in range(256)]
 
 
 def _packed_symbols(stream):
-    """Yield 8 symbols per byte, most significant bit first (1 -> H)."""
+    """Yield one ``str`` per read, 8 symbols per byte, most significant bit
+    first (1 -> H)."""
     for chunk in _byte_chunks(stream):
-        for b in chunk:
-            for i in range(7, -1, -1):
-                yield HEADS if (b >> i) & 1 else TAILS
+        yield "".join(map(_BYTE_SYMBOLS.__getitem__, chunk))
 
 
 def _int_tokens(stream):
-    """Yield (value, byte_offset) for whitespace-separated decimal tokens."""
+    """Yield, per read, a list of ``(value, byte_offset)`` for the
+    whitespace-separated decimal tokens it completes; a token cut by the
+    end of a read is carried over to the next."""
     offset = 0
     value = None
     start = 0
     for chunk in _byte_chunks(stream):
+        tokens = []
         for b in chunk:
             if 0x30 <= b <= 0x39:
                 if value is None:
@@ -106,35 +125,44 @@ def _int_tokens(stream):
                 value = value * 10 + (b - 0x30)
             elif b in _WHITESPACE:
                 if value is not None:
-                    yield value, start
+                    tokens.append((value, start))
                     value = None
             else:
+                yield tokens
                 raise BadSymbol(offset, f"expected a decimal value, got {chr(b)!r}")
             offset += 1
+        yield tokens
     if value is not None:
-        yield value, start
+        yield [(value, start)]
 
 
-def _checked_faces(tokens, m: int):
-    for value, offset in tokens:
-        if value >= m:
+def _checked_faces(batches, m: int):
+    for tokens in batches:
+        faces = [value for value, _ in tokens]
+        if faces and max(faces) >= m:
+            i = next(i for i, face in enumerate(faces) if face >= m)
+            yield faces[:i]
+            value, offset = tokens[i]
             raise BadSymbol(offset, f"value {value} out of range for m={m}")
-        yield value
+        yield faces
 
 
-def _mapped_states(tokens, mapping: dict[int, int]):
-    for value, offset in tokens:
-        state = mapping.get(value)
-        if state is None:
+def _mapped_states(batches, mapping: dict[int, int]):
+    for tokens in batches:
+        states = [mapping.get(value) for value, _ in tokens]
+        if None in states:
+            i = states.index(None)
+            yield states[:i]
+            value, offset = tokens[i]
             raise BadSymbol(offset, f"state {value} not in --state-order")
-        yield state
+        yield states
 
 
 def _prescan_m(path: str, parser: _Parser) -> int:
     largest = -1
     with open(path, "rb") as f:
-        for value, _ in _int_tokens(f):
-            largest = max(largest, value)
+        for tokens in _int_tokens(f):
+            largest = max([largest, *(value for value, _ in tokens)])
     if largest < 0:
         parser.error(f"cannot infer m from {path!r} (no values); pass --m")
     return max(largest + 1, 2)
@@ -143,49 +171,57 @@ def _prescan_m(path: str, parser: _Parser) -> int:
 # --------------------------------------------------------------- output
 
 
+def _open(path: str, mode: str, parser: _Parser):
+    """Open ``path``, or end with a configuration error (exit 4)."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        parser.error(f"cannot open {path!r}: {exc.strerror or exc}")
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _pack_bits(bits) -> bytes:
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for j, bit in enumerate(bits[i : i + 8]):
-            byte |= bit << (7 - j)  # zero-padded final byte
-        out.append(byte)
-    return bytes(out)
+    """Bits as bytes, most significant bit first, zero-padded to a byte."""
+    n = -(-len(bits) // 8)
+    if not n:
+        return b""
+    text = bytes(bits).translate(_DIGITS).ljust(8 * n, b"0")
+    return int(text, 2).to_bytes(n, "big")
 
 
-def _write_bits(bits, where: str, fmt: str) -> None:
+def _write_bits(bits, out, fmt: str, final: bool = False) -> list[int]:
+    """Write ``bits`` to the binary stream ``out``, flush it, and return
+    the bits held back for the next call.
+
+    Ascii output is one digit per bit; ``final`` ends the line.  Packed
+    output is whole bytes, most significant bit first, so up to 7 bits
+    are held back; ``final`` writes them zero-padded to a byte.
+    """
     if fmt == "ascii":
-        text = "".join(map(str, bits)) + "\n"
-        if where == "-":
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(where, "w") as f:
-                f.write(text)
+        data, rest = bytes(bits).translate(_DIGITS) + (b"\n" if final else b""), []
     else:
-        data = _pack_bits(bits)
-        if where == "-":
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
-        else:
-            with open(where, "wb") as f:
-                f.write(data)
+        whole = len(bits) if final else len(bits) & ~7
+        data, rest = _pack_bits(bits[:whole]), bits[whole:]
+    out.write(data)
+    out.flush()
+    return rest
 
 
-def _write_text(text: str, where: str) -> None:
+def _write_text(text: str, where: str, parser: _Parser) -> None:
     if where == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(where, "w") as f:
+        with _open(where, "w", parser) as f:
             f.write(text + "\n")
 
 
-def _emit_stats(args, payload: dict) -> None:
-    if getattr(args, "stats_file", None):
-        with open(args.stats_file, "w") as f:
-            json.dump(payload, f, indent=2)
-            f.write("\n")
-    if getattr(args, "stats", False):
+def _emit_stats(args, payload: dict, stats_file) -> None:
+    if stats_file is not None:
+        json.dump(payload, stats_file, indent=2)
+        stats_file.write("\n")
+    if args.stats:
         json.dump(payload, sys.stderr, indent=2)
         sys.stderr.write("\n")
 
@@ -194,7 +230,7 @@ def _emit_stats(args, payload: dict) -> None:
 
 
 def _build_extract_session(args, parser: _Parser, stream):
-    """Returns (session, symbol_iterator, m_for_stats)."""
+    """Returns (session, iterator of symbol batches, m_for_stats)."""
     mode = args.mode
     if mode in ("coin", "vonneumann"):
         if args.state_order:
@@ -240,39 +276,58 @@ def _build_extract_session(args, parser: _Parser, stream):
 
 
 def _cmd_extract(args, parser: _Parser) -> int:
-    if args.bits is not None and args.bits < 0:
+    k, fmt = args.bits, args.output_format
+    if k is not None and k < 0:
         parser.error("--bits must be nonnegative")
-    stream = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-    try:
-        session, symbols, m = _build_extract_session(args, parser, stream)
-        depth = None if args.mode == "vonneumann" else args.depth
-        exhausted = None
+    with contextlib.ExitStack() as files:
+
+        def opened(path: str, mode: str):
+            return files.enter_context(_open(path, mode, parser))
+
+        stream = sys.stdin.buffer if args.input == "-" else opened(args.input, "rb")
+        session, batches, m = _build_extract_session(args, parser, stream)
+        # every path is checked before the first read of the input
+        out = sys.stdout.buffer if args.output == "-" else opened(args.output, "wb")
+        stats_file = opened(args.stats_file, "w") if args.stats_file else None
+
+        # read -> feed -> write: each batch's bits go out before the next read
+        consumed = written = 0
+        carry: list[int] = []
         t0 = time.perf_counter()
         try:
-            bits, consumed = take_bits(session, symbols, args.bits)
-        except SourceExhausted as exc:
-            bits, consumed, exhausted = exc.bits, exc.symbols_consumed, exc
+            for batch in batches if k != 0 else ():  # --bits 0 reads no input
+                try:
+                    bits, n = take_bits(session, batch, None if k is None else k - written)
+                except SourceExhausted as exc:
+                    bits, n = exc.bits, exc.symbols_consumed
+                consumed += n
+                written += len(bits)
+                carry = _write_bits(carry + bits, out, fmt)
+                if written == k:
+                    break
+        except BadSymbol:
+            _write_bits(carry, out, fmt, final=True)  # the bits from before it
+            raise
+        _write_bits(carry, out, fmt, final=True)
         wall = time.perf_counter() - t0
-    finally:
-        if stream is not sys.stdin.buffer:
-            stream.close()
 
-    _write_bits(bits, args.output, args.output_format)
-    _emit_stats(
-        args,
-        {
-            "mode": args.mode,
-            "depth": depth,
-            "m": m,
-            "input_symbols": consumed,
-            "output_bits": len(bits),
-            "messages_processed": getattr(session, "messages_total", consumed),
-            "tosses_per_bit_observed": consumed / len(bits) if bits else None,
-            "wall_seconds": wall,
-        },
-    )
-    if exhausted is not None:
-        print(f"debias: {exhausted}", file=sys.stderr)
+        _emit_stats(
+            args,
+            {
+                "mode": args.mode,
+                "depth": None if args.mode == "vonneumann" else args.depth,
+                "m": m,
+                "input_symbols": consumed,
+                "output_bits": written,
+                "messages_processed": getattr(session, "messages_total", consumed),
+                "tosses_per_bit_observed": consumed / written if written else None,
+                "wall_seconds": wall,
+            },
+            stats_file,
+        )
+    if k is not None and written < k:
+        print(f"debias: source exhausted after {consumed} symbols "
+              f"with {written} of {k} requested bits", file=sys.stderr)
         return EXIT_EXHAUSTED
     return EXIT_OK
 
@@ -299,7 +354,7 @@ def _cmd_analyze(args, parser: _Parser) -> int:
         text = analysis.table_csv(rows, biases, column)
     else:
         text = analysis.format_table(rows, biases)
-    _write_text(text, args.output)
+    _write_text(text, args.output, parser)
     return EXIT_OK
 
 
@@ -333,7 +388,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
         parser.error(str(exc))
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
-    _write_text(report.to_csv() if args.format == "csv" else report.to_text(), args.output)
+    _write_text(report.to_csv() if args.format == "csv" else report.to_text(), args.output,
+                parser)
     return EXIT_OK if report.uniform else EXIT_NOT_UNIFORM
 
 

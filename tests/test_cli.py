@@ -1,13 +1,19 @@
 import io
 import json
+import os
+import random
+import select
 import subprocess
 import sys
 
 import pytest
 
 from debias.cli import main
+from debias.coin import CoinExtractor, take_bits
 from debias.dice import DiceExtractor
 from debias.markov import MarkovExtractor
+
+READ = io.DEFAULT_BUFFER_SIZE  # bytes per read of the CLI's input
 
 
 def run_cli(argv, capsys):
@@ -367,5 +373,253 @@ def test_console_script_dead_pipe_is_silent(tmp_path, debias_on_path):
     writer.stdout.read(1)
     writer.stdout.close()
     stderr = writer.stderr.read()
+    writer.stderr.close()
     assert writer.wait() == 0
     assert stderr == b""
+
+
+def test_console_script_streams_a_live_pipe(debias_on_path):
+    # the bits of the first line arrive while the writer still holds stdin open
+    proc = subprocess.Popen(
+        ["debias", "extract", "--mode", "coin"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        proc.stdin.write(b"HTTTHT\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready, "no output within 10 s while the input pipe stayed open"
+        assert os.read(proc.stdout.fileno(), 16) == b"11"
+    finally:
+        proc.kill()
+        proc.communicate()
+
+
+# ------------------------------------------------ unopenable paths: exit 4
+
+
+class _Stdin:
+    """Stands in for ``sys.stdin``: its ``buffer.read`` hands out ``data``
+    at most ``step`` bytes at a time, like a pipe."""
+
+    def __init__(self, data: bytes = b"", step: int = READ):
+        self.buffer = self
+        self.data, self.step, self.pos = data, step, 0
+
+    def read(self, n: int) -> bytes:
+        chunk = self.data[self.pos : self.pos + min(n, self.step)]
+        self.pos += len(chunk)
+        return chunk
+
+
+class _BufferedStdin(_Stdin):
+    """A ``_Stdin`` with ``read1``, as buffered streams have."""
+
+    read1 = _Stdin.read
+
+
+class _UnreadStdin(_Stdin):
+    def read(self, n: int) -> bytes:
+        raise AssertionError("the input was read before the error")
+
+    read1 = read
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--mode", "coin", "--input", "{missing}/in.txt"],
+        ["extract", "--mode", "coin", "--output", "{missing}/out.txt"],
+        ["extract", "--mode", "coin", "--output-format", "packed", "--output", "{missing}/b.bin"],
+        ["extract", "--mode", "dice", "--m", "3", "--stats-file", "{missing}/stats.json"],
+        ["analyze", "--depths", "3", "--ps", "0.4", "--output", "{missing}/table.txt"],
+        ["verify", "--mode", "coin", "--p", "1/3", "--n-max", "4", "--bits", "1",
+         "--output", "{missing}/report.txt"],
+    ],
+    ids=["extract-input", "extract-output", "extract-packed", "extract-stats-file",
+         "analyze-output", "verify-output"],
+)
+def test_unopenable_path_is_config_error(argv, tmp_path, capsys, monkeypatch):
+    # extract must report the path before it reads any input
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("debias: error: cannot open ")
+    assert err.count("\n") == 1
+
+
+# ------------------------------------- CLI against the library, many reads
+
+
+def _source(step, tmp_path, monkeypatch, data: bytes) -> list[str]:
+    """Arguments that feed ``data`` to the CLI: from a file when ``step`` is
+    None, else from stdin in reads of at most ``step`` bytes."""
+    if step is None:
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        return ["--input", str(path)]
+    stdin_class, size = step
+    monkeypatch.setattr(sys, "stdin", stdin_class(data, size))
+    return []
+
+
+SOURCES = pytest.mark.parametrize(
+    "step", [None, (_Stdin, 3), (_BufferedStdin, 997)], ids=["file", "stdin-read-3", "stdin-read1-997"]
+)
+
+
+def _ascii(bits) -> str:
+    return "".join(map(str, bits)) + "\n"
+
+
+def _packed(bits) -> bytes:
+    padded = list(bits) + [0] * (-len(bits) % 8)
+    return bytes(int("".join(map(str, padded[i : i + 8])), 2) for i in range(0, len(padded), 8))
+
+
+def _coins(rng: random.Random, n: int) -> str:
+    return "".join("H" if rng.random() < 0.3 else "T" for _ in range(n))
+
+
+@SOURCES
+def test_extract_mixed_case_text_across_reads(step, tmp_path, capsys, monkeypatch):
+    rng = random.Random(1)
+    symbols = _coins(rng, 4 * READ)
+    text = "".join(
+        (s.lower() if rng.random() < 0.5 else s)
+        + (rng.choice([" ", "\t", "\r\n", "\n  "]) if rng.random() < 0.2 else "")
+        for s in symbols
+    ).encode()
+    bits = CoinExtractor(15).process_all(symbols)
+    code, out, _ = run_cli(
+        ["extract", "--mode", "coin", *_source(step, tmp_path, monkeypatch, text)], capsys
+    )
+    assert (code, out) == (0, _ascii(bits))
+    dest = tmp_path / "bits.bin"
+    code, _, _ = run_cli(
+        ["extract", "--mode", "coin", "--output", str(dest), "--output-format", "packed",
+         *_source(step, tmp_path, monkeypatch, text)],
+        capsys,
+    )
+    assert code == 0
+    assert dest.read_bytes() == _packed(bits)
+
+
+@SOURCES
+def test_extract_packed_input_across_reads(step, tmp_path, capsys, monkeypatch):
+    rng = random.Random(2)
+    data = bytes(rng.randrange(256) for _ in range(3 * READ + 5))
+    symbols = "".join(format(b, "08b") for b in data).translate(str.maketrans("10", "HT"))
+    code, out, _ = run_cli(
+        ["extract", "--mode", "coin", "--input-format", "bits", "--depth", "unlimited",
+         *_source(step, tmp_path, monkeypatch, data)],
+        capsys,
+    )
+    assert (code, out) == (0, _ascii(CoinExtractor(None).process_all(symbols)))
+
+
+def _tokens_cut_at_reads(rng: random.Random, reads: int) -> tuple[list[int], bytes]:
+    """Values 0..12 as text, with the two-digit token 12 cut by each of the
+    first ``reads`` read boundaries of a file."""
+    tokens, text = [], ""
+    for boundary in range(READ, (reads + 1) * READ, READ):
+        while len(text) < boundary - 8:
+            tokens.append(rng.choice([0, 0, 1, 2, 3, 5, 8, 10, 11, 12]))
+            text += f"{tokens[-1]}" + rng.choice([" ", "\n", " \t"])
+        text += " " * (boundary - 1 - len(text)) + "12\n"
+        tokens.append(12)
+        assert text[boundary - 1 : boundary + 1] == "12"
+    return tokens, text.encode()
+
+
+@SOURCES
+@pytest.mark.parametrize("mode", ["dice", "markov"])
+def test_extract_tokens_cut_by_reads(mode, step, tmp_path, capsys, monkeypatch):
+    tokens, data = _tokens_cut_at_reads(random.Random(3), 3)
+    ref = DiceExtractor(13, 15) if mode == "dice" else MarkovExtractor(13, 15)
+    ref.process_all(tokens)
+    code, out, _ = run_cli(
+        ["extract", "--mode", mode, "--m", "13", *_source(step, tmp_path, monkeypatch, data)],
+        capsys,
+    )
+    assert (code, out) == (0, _ascii(ref.output))
+
+
+@SOURCES
+def test_extract_bits_stops_mid_batch(step, tmp_path, capsys, monkeypatch):
+    symbols = _coins(random.Random(4), 4 * READ)
+    k = len(CoinExtractor(15).process_all(symbols[: 2 * READ + READ // 2]))
+    bits, n = take_bits(CoinExtractor(15), symbols, k)
+    assert 2 * READ < n < 3 * READ  # inside the third read of a file
+    stats = tmp_path / "stats.json"
+    code, out, _ = run_cli(
+        ["extract", "--mode", "coin", "--bits", str(k), "--stats-file", str(stats),
+         *_source(step, tmp_path, monkeypatch, symbols.encode())],
+        capsys,
+    )
+    assert (code, out) == (0, _ascii(bits))
+    payload = json.loads(stats.read_text())
+    assert (payload["input_symbols"], payload["output_bits"]) == (n, k)
+
+
+@SOURCES
+def test_extract_exhausted_pads_packed_output(step, tmp_path, capsys, monkeypatch):
+    symbols = _coins(random.Random(5), 3 * READ)
+    bits = CoinExtractor(15).process_all(symbols)
+    while len(bits) % 8 == 0:  # make the last byte need padding
+        symbols = symbols[:-1]
+        bits = CoinExtractor(15).process_all(symbols)
+    dest = tmp_path / "bits.bin"
+    code, _, err = run_cli(
+        ["extract", "--mode", "coin", "--bits", str(len(bits) + 5), "--output", str(dest),
+         "--output-format", "packed", *_source(step, tmp_path, monkeypatch, symbols.encode())],
+        capsys,
+    )
+    assert code == 3
+    assert f"with {len(bits)} of {len(bits) + 5} requested bits" in err
+    assert dest.read_bytes() == _packed(bits)
+
+
+@SOURCES
+def test_extract_bad_byte_after_first_read(step, tmp_path, capsys, monkeypatch):
+    # the bits released before the bad byte are written, in either format
+    symbols = _coins(random.Random(6), 2 * READ + 300)
+    data = symbols.encode() + b"x" + b"HT" * 100
+    bits = CoinExtractor(15).process_all(symbols)
+    code, out, err = run_cli(
+        ["extract", "--mode", "coin", *_source(step, tmp_path, monkeypatch, data)], capsys
+    )
+    assert (code, out) == (2, _ascii(bits))
+    assert f"bad input symbol at byte {len(symbols)}: expected H or T, got 'x'" in err
+    dest = tmp_path / "bits.bin"
+    code, _, _ = run_cli(
+        ["extract", "--mode", "coin", "--output", str(dest), "--output-format", "packed",
+         *_source(step, tmp_path, monkeypatch, data)],
+        capsys,
+    )
+    assert code == 2
+    assert dest.read_bytes() == _packed(bits)
+
+
+@SOURCES
+@pytest.mark.parametrize("mode", ["dice", "markov"])
+def test_extract_bad_token_after_first_read(mode, step, tmp_path, capsys, monkeypatch):
+    rng = random.Random(7)
+    tokens = [rng.randrange(3) for _ in range(READ)]
+    head = " ".join(map(str, tokens)) + "\n"
+    data = (head + "7 1 2 0\n").encode()
+    if mode == "dice":
+        ref, flags, detail = DiceExtractor(3, 15), ["--m", "3"], "value 7 out of range for m=3"
+    else:
+        ref, flags, detail = MarkovExtractor(3, 15), ["--state-order", "0,1,2"], \
+            "state 7 not in --state-order"
+    ref.process_all(tokens)
+    code, out, err = run_cli(
+        ["extract", "--mode", mode, *flags, *_source(step, tmp_path, monkeypatch, data)], capsys
+    )
+    assert (code, out) == (2, _ascii(ref.output))
+    assert f"bad input symbol at byte {len(head)}: {detail}" in err
