@@ -6,118 +6,87 @@ output bits whose first k values are exactly uniform for every k the
 stream reaches.  :mod:`debias.analysis` predicts the cost,
 :mod:`debias.oracle` proves finite configurations uniform by exact
 enumeration, and :mod:`debias.inversion` rebuilds inputs from traces.
+
+Importing the package loads none of its submodules: each exported name
+imports its submodule on first use, so ``debias extract`` loads only the
+modules it runs.
 """
 
-from .analysis import (
-    TABLE_BIASES,
-    TABLE_DEPTHS,
-    DomainError,
-    EfficiencyReport,
-    SimulationResult,
-    bernoulli_symbols,
-    efficiency_report,
-    entropy,
-    extraction_rate,
-    format_table,
-    level_traffic,
-    processing_time,
-    simulate_efficiency,
-    table_csv,
-    time_table,
-    tosses_per_bit,
-    tosses_table,
-)
-from .coin import (
-    EMPTY,
-    HEADS,
-    HOLD_ONE,
-    HOLD_ZERO,
-    LABELS,
-    SYMBOLS,
-    TAILS,
-    CoinExtractor,
-    NodeUpdate,
-    SourceExhausted,
-    StepResult,
-    TraceNode,
-    extract_bits,
-    node_update,
-    take_bits,
-)
-from .dice import DiceExtractor, binarize, face_width, prefix_stream
-from .inversion import (
-    InconsistentTrace,
-    LengthMismatch,
-    collect_logs,
-    equivalent,
-    flip_and_rebuild,
-    reconstruct,
-    replace_logs,
-)
-from .markov import MarkovExtractor, UnknownState, exit_stream
-from .oracle import (
-    HorizonTooLarge,
-    UniformityReport,
-    verify_coin,
-    verify_dice,
-    verify_markov,
-)
-from .vonneumann import VonNeumannExtractor, von_neumann
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoinExtractor",
-    "DiceExtractor",
-    "DomainError",
-    "EMPTY",
-    "EfficiencyReport",
-    "HEADS",
-    "HOLD_ONE",
-    "HOLD_ZERO",
-    "HorizonTooLarge",
-    "InconsistentTrace",
-    "LABELS",
-    "LengthMismatch",
-    "MarkovExtractor",
-    "NodeUpdate",
-    "SimulationResult",
-    "SourceExhausted",
-    "StepResult",
-    "SYMBOLS",
-    "TABLE_BIASES",
-    "TABLE_DEPTHS",
-    "TAILS",
-    "TraceNode",
-    "UniformityReport",
-    "UnknownState",
-    "VonNeumannExtractor",
-    "bernoulli_symbols",
-    "binarize",
-    "collect_logs",
-    "efficiency_report",
-    "entropy",
-    "equivalent",
-    "exit_stream",
-    "extract_bits",
-    "extraction_rate",
-    "face_width",
-    "flip_and_rebuild",
-    "format_table",
-    "level_traffic",
-    "node_update",
-    "prefix_stream",
-    "processing_time",
-    "reconstruct",
-    "replace_logs",
-    "simulate_efficiency",
-    "table_csv",
-    "take_bits",
-    "time_table",
-    "tosses_per_bit",
-    "tosses_table",
-    "verify_coin",
-    "verify_dice",
-    "verify_markov",
-    "von_neumann",
-]
+# submodule -> the names it exports from the package
+_EXPORTS = {
+    "analysis": (
+        "TABLE_BIASES",
+        "TABLE_DEPTHS",
+        "DomainError",
+        "EfficiencyReport",
+        "SimulationResult",
+        "bernoulli_symbols",
+        "efficiency_report",
+        "entropy",
+        "extraction_rate",
+        "format_table",
+        "level_traffic",
+        "processing_time",
+        "simulate_efficiency",
+        "table_csv",
+        "time_table",
+        "tosses_per_bit",
+        "tosses_table",
+    ),
+    "coin": (
+        "EMPTY",
+        "HEADS",
+        "HOLD_ONE",
+        "HOLD_ZERO",
+        "LABELS",
+        "SYMBOLS",
+        "TAILS",
+        "CoinExtractor",
+        "NodeUpdate",
+        "SourceExhausted",
+        "StepResult",
+        "TraceNode",
+        "extract_bits",
+        "node_update",
+        "take_bits",
+    ),
+    "dice": ("DiceExtractor", "binarize", "face_width", "prefix_stream"),
+    "inversion": (
+        "InconsistentTrace",
+        "LengthMismatch",
+        "collect_logs",
+        "equivalent",
+        "flip_and_rebuild",
+        "reconstruct",
+        "replace_logs",
+    ),
+    "markov": ("MarkovExtractor", "UnknownState", "exit_stream"),
+    "oracle": (
+        "HorizonTooLarge",
+        "UniformityReport",
+        "verify_coin",
+        "verify_dice",
+        "verify_markov",
+    ),
+    "vonneumann": ("VonNeumannExtractor", "von_neumann"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,17 +11,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import os
+import re
 import sys
 import time
-from fractions import Fraction
 
-from . import analysis, oracle
 from .coin import HEADS, TAILS, CoinExtractor, SourceExhausted, take_bits
-from .dice import DiceExtractor
-from .markov import MarkovExtractor
-from .vonneumann import VonNeumannExtractor
+
+# Each command imports the rest of the package, and json and fractions,
+# where it uses them: ``extract`` loads only the modules its mode runs.
 
 EXIT_OK = 0
 EXIT_NOT_UNIFORM = 1
@@ -109,51 +107,77 @@ def _packed_symbols(stream):
         yield "".join(map(_BYTE_SYMBOLS.__getitem__, chunk))
 
 
+_DECIMAL = b"0123456789" + _WHITESPACE
+_INT_DIGITS = 4000  # under the interpreter's limit on digits int() converts
+
+
 def _int_tokens(stream):
-    """Yield, per read, a list of ``(value, byte_offset)`` for the
-    whitespace-separated decimal tokens it completes; a token cut by the
-    end of a read is carried over to the next."""
-    offset = 0
-    value = None
-    start = 0
+    """Yield, per read, ``(values, text, base)``: the values of the
+    whitespace-separated decimal tokens the read completes, and the bytes
+    they were split from, which start at byte offset ``base`` of the input
+    (see :func:`_token_at`).  A token cut by the end of a read is carried
+    over to the next."""
+    base = 0
+    carry = b""
     for chunk in _byte_chunks(stream):
-        tokens = []
-        for b in chunk:
-            if 0x30 <= b <= 0x39:
-                if value is None:
-                    value, start = 0, offset
-                value = value * 10 + (b - 0x30)
-            elif b in _WHITESPACE:
-                if value is not None:
-                    tokens.append((value, start))
-                    value = None
-            else:
-                yield tokens
-                raise BadSymbol(offset, f"expected a decimal value, got {chr(b)!r}")
-            offset += 1
-        yield tokens
-    if value is not None:
-        yield [(value, start)]
+        text = carry + chunk
+        bad = text.translate(None, _DECIMAL)
+        if bad:
+            at = text.index(bad[0])  # no earlier byte is bad, so none equals it
+            head = text[:at]
+            tokens = head.split()
+            if tokens and not head[-1:].isspace():
+                tokens.pop()  # cut by the bad byte: never completed
+            yield _values(tokens), head, base
+            raise BadSymbol(base + at, f"expected a decimal value, got {chr(bad[0])!r}")
+        tokens = text.split()
+        carry = tokens.pop() if tokens and not text[-1:].isspace() else b""
+        yield _values(tokens), text, base
+        base += len(text) - len(carry)
+    if carry:
+        yield [_decimal(carry)], carry, base
+
+
+def _values(tokens: list[bytes]) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # a token past the digit limit
+        return list(map(_decimal, tokens))
+
+
+def _decimal(token: bytes) -> int:
+    """The value of a token of decimal digits, however many there are."""
+    value = 0
+    for i in range(0, len(token), _INT_DIGITS):
+        piece = token[i : i + _INT_DIGITS]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def _token_at(text: bytes, base: int, i: int) -> tuple[int, str]:
+    """Byte offset and decimal form of token ``i`` of a batch of
+    :func:`_int_tokens`, for error messages."""
+    token = [*re.finditer(rb"\S+", text)][i]
+    return base + token.start(), token[0].lstrip(b"0").decode() or "0"
 
 
 def _checked_faces(batches, m: int):
-    for tokens in batches:
-        faces = [value for value, _ in tokens]
+    for faces, text, base in batches:
         if faces and max(faces) >= m:
             i = next(i for i, face in enumerate(faces) if face >= m)
             yield faces[:i]
-            value, offset = tokens[i]
+            offset, value = _token_at(text, base, i)
             raise BadSymbol(offset, f"value {value} out of range for m={m}")
         yield faces
 
 
 def _mapped_states(batches, mapping: dict[int, int]):
-    for tokens in batches:
-        states = [mapping.get(value) for value, _ in tokens]
+    for values, text, base in batches:
+        states = list(map(mapping.get, values))
         if None in states:
             i = states.index(None)
             yield states[:i]
-            value, offset = tokens[i]
+            offset, value = _token_at(text, base, i)
             raise BadSymbol(offset, f"state {value} not in --state-order")
         yield states
 
@@ -161,8 +185,8 @@ def _mapped_states(batches, mapping: dict[int, int]):
 def _prescan_m(path: str, parser: _Parser) -> int:
     largest = -1
     with open(path, "rb") as f:
-        for tokens in _int_tokens(f):
-            largest = max([largest, *(value for value, _ in tokens)])
+        for values, _, _ in _int_tokens(f):
+            largest = max([largest, *values])
     if largest < 0:
         parser.error(f"cannot infer m from {path!r} (no values); pass --m")
     return max(largest + 1, 2)
@@ -218,6 +242,10 @@ def _write_text(text: str, where: str, parser: _Parser) -> None:
 
 
 def _emit_stats(args, payload: dict, stats_file) -> None:
+    if stats_file is None and not args.stats:
+        return
+    import json
+
     if stats_file is not None:
         json.dump(payload, stats_file, indent=2)
         stats_file.write("\n")
@@ -229,16 +257,15 @@ def _emit_stats(args, payload: dict, stats_file) -> None:
 # ------------------------------------------------------------- extract
 
 
-def _build_extract_session(args, parser: _Parser, stream):
-    """Returns (session, iterator of symbol batches, m_for_stats)."""
+def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None]:
+    """Check the extract options that need no I/O.  Returns the
+    ``--state-order`` values (None without one) and the alphabet size m
+    (None when the prescan is to infer it)."""
     mode = args.mode
     if mode in ("coin", "vonneumann"):
         if args.state_order:
             parser.error("--state-order only applies to --mode markov")
-        symbols = _packed_symbols(stream) if args.input_format == "bits" else _coin_symbols(stream)
-        if mode == "coin":
-            return CoinExtractor(args.depth), symbols, 2
-        return VonNeumannExtractor(), symbols, 2
+        return None, 2
 
     if args.input_format == "bits":
         parser.error("--input-format bits only applies to coin/vonneumann modes")
@@ -262,13 +289,33 @@ def _build_extract_session(args, parser: _Parser, stream):
     if m is None:
         if args.input == "-":
             parser.error(f"--mode {mode} on stdin needs --m (no prescan possible)")
-        m = _prescan_m(args.input, parser)
-    if m < 2:
+    elif m < 2:
         parser.error(f"m must be >= 2, got {m}")
+    return order, m
 
+
+def _build_extract_session(args, parser: _Parser, stream, order, m):
+    """Returns (session, iterator of symbol batches, m_for_stats) for the
+    ``order`` and ``m`` of :func:`_extract_config`.  With m None, the
+    prescan here is the first read of the input."""
+    mode = args.mode
+    if mode in ("coin", "vonneumann"):
+        symbols = _packed_symbols(stream) if args.input_format == "bits" else _coin_symbols(stream)
+        if mode == "coin":
+            return CoinExtractor(args.depth), symbols, m
+        from .vonneumann import VonNeumannExtractor
+
+        return VonNeumannExtractor(), symbols, m
+
+    if m is None:
+        m = _prescan_m(args.input, parser)
     tokens = _int_tokens(stream)
     if mode == "dice":
+        from .dice import DiceExtractor
+
         return DiceExtractor(m, args.depth), _checked_faces(tokens, m), m
+    from .markov import MarkovExtractor
+
     if order is not None:
         mapping = {value: idx for idx, value in enumerate(order)}
         return MarkovExtractor(m, args.depth), _mapped_states(tokens, mapping), m
@@ -285,10 +332,12 @@ def _cmd_extract(args, parser: _Parser) -> int:
             return files.enter_context(_open(path, mode, parser))
 
         stream = sys.stdin.buffer if args.input == "-" else opened(args.input, "rb")
-        session, batches, m = _build_extract_session(args, parser, stream)
-        # every path is checked before the first read of the input
+        order, m = _extract_config(args, parser)
+        # every path is checked before the first read of the input, which
+        # may be the prescan in _build_extract_session
         out = sys.stdout.buffer if args.output == "-" else opened(args.output, "wb")
         stats_file = opened(args.stats_file, "w") if args.stats_file else None
+        session, batches, m = _build_extract_session(args, parser, stream, order, m)
 
         # read -> feed -> write: each batch's bits go out before the next read
         consumed = written = 0
@@ -336,9 +385,14 @@ def _cmd_extract(args, parser: _Parser) -> int:
 
 
 def _cmd_analyze(args, parser: _Parser) -> int:
+    from . import analysis
+
+    # the defaults are the axes of the frozen tables
+    depths = ",".join(map(str, analysis.TABLE_DEPTHS)) if args.depths is None else args.depths
+    biases = ",".join(map(str, analysis.TABLE_BIASES)) if args.ps is None else args.ps
     try:
-        depths = [int(t) for t in args.depths.split(",")]
-        biases = [float(t) for t in args.ps.split(",")]
+        depths = [int(t) for t in depths.split(",")]
+        biases = [float(t) for t in biases.split(",")]
     except ValueError:
         parser.error("--depths and --ps must be comma-separated numbers")
     try:
@@ -361,11 +415,15 @@ def _cmd_analyze(args, parser: _Parser) -> int:
 # -------------------------------------------------------------- verify
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
+def _parse_fractions(text: str) -> list:
+    from fractions import Fraction
+
     return [Fraction(tok.strip()) for tok in text.split(",")]
 
 
 def _cmd_verify(args, parser: _Parser) -> int:
+    from . import oracle
+
     try:
         if args.mode == "coin":
             if args.p is None:
@@ -397,6 +455,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
 
 
 def _cmd_bench(args, parser: _Parser) -> int:
+    from . import analysis
+
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     try:
@@ -407,6 +467,8 @@ def _cmd_bench(args, parser: _Parser) -> int:
     except analysis.DomainError as exc:
         parser.error(str(exc))
     if args.json:
+        import json
+
         payload = [run.__dict__ for run in runs]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
@@ -472,8 +534,8 @@ def build_parser() -> _Parser:
     pa.add_argument("--metric", choices=("tosses", "time"), default="tosses",
                     help="tosses: expected inputs per output bit (with unlimited-depth "
                     "limit row); time: expected node deliveries per input")
-    pa.add_argument("--depths", default=",".join(str(d) for d in analysis.TABLE_DEPTHS))
-    pa.add_argument("--ps", default=",".join(str(p) for p in analysis.TABLE_BIASES))
+    pa.add_argument("--depths")  # default: analysis.TABLE_DEPTHS
+    pa.add_argument("--ps")  # default: analysis.TABLE_BIASES
     pa.add_argument("--format", choices=("text", "csv"), default="text")
     pa.add_argument("--output", default="-", metavar="PATH")
     pa.set_defaults(func=_cmd_analyze)

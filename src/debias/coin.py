@@ -52,7 +52,6 @@ session type in the package through ``feed``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 HEADS = "H"
@@ -117,8 +116,7 @@ class StepResult(NamedTuple):
     messages: int
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     """Immutable snapshot of one node: label, its released bits, children.
 
     ``bit_log`` records, in order, every bit this node has released.  The

@@ -452,6 +452,72 @@ def test_unopenable_path_is_config_error(argv, tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("m", [[], ["--m", "3"]], ids=["prescan", "given-m"])
+@pytest.mark.parametrize("flag", ["--output", "--stats-file"])
+def test_unopenable_path_is_reported_before_the_prescan(m, flag, tmp_path, capsys, monkeypatch):
+    # the input holds a bad token, which a read of it would report with exit 2
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1 2 x 1")
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+    code, out, err = run_cli(
+        ["extract", "--mode", "dice", "--input", str(bad), *m,
+         flag, str(tmp_path / "missing" / "x")],
+        capsys,
+    )
+    assert code == 4
+    assert err.startswith("debias: error: cannot open ")
+    assert opened.count(str(bad)) == 1  # the extract pass's own open, never read
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "coin", "--bits", "-1"],
+        ["--mode", "coin", "--state-order", "1,2"],
+        ["--mode", "dice", "--input-format", "bits"],
+        ["--mode", "dice", "--state-order", "1,2"],
+        ["--mode", "markov", "--state-order", "1,x"],
+        ["--mode", "markov", "--state-order", "1,1"],
+        ["--mode", "markov", "--state-order", "1,2", "--m", "3"],
+        ["--mode", "markov", "--state-order", "7"],
+        ["--mode", "dice", "--m", "1"],
+        ["--mode", "dice", "--input", "-"],
+    ],
+    ids=["bits", "coin-order", "dice-bits", "dice-order", "order-int", "order-distinct",
+         "order-m", "order-one", "m-one", "stdin-prescan"],
+)
+def test_argument_error_leaves_output_untouched(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    source = tmp_path / "in.txt"
+    source.write_text("0 1 2 1\n")
+    kept = tmp_path / "out.txt"
+    kept.write_text("earlier output\n")
+    stats = tmp_path / "stats.json"
+    code, out, err = run_cli(
+        ["extract", "--input", str(source), *argv, "--output", str(kept),
+         "--stats-file", str(stats)],
+        capsys,
+    )
+    assert code == 4
+    assert err.startswith("debias: error: ") and "cannot open" not in err
+    assert kept.read_text() == "earlier output\n"
+    assert not stats.exists()
+
+
+def test_prescan_reads_after_every_path_is_open(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1 2 x 1")
+    dest = tmp_path / "bits.txt"
+    code, out, err = run_cli(
+        ["extract", "--mode", "dice", "--input", str(bad), "--output", str(dest)], capsys
+    )
+    assert code == 2
+    assert "bad input symbol at byte 6: expected a decimal value, got 'x'" in err
+    assert dest.read_text() == ""  # opened first; the prescan stopped before any bits
+
+
 # ------------------------------------- CLI against the library, many reads
 
 

@@ -1,0 +1,105 @@
+"""What the package promises its users: the lazily resolved exports, the
+``TraceNode`` value type, and the default ``debias analyze`` table."""
+
+import importlib
+
+import pytest
+
+import debias
+from debias import CoinExtractor, TraceNode
+from debias.cli import main
+
+# `debias analyze` with its defaults: the frozen tosses-per-bit table
+ANALYZE_DEFAULT = """\
+depth    p=0.1   p=0.2   p=0.3   p=0.4   p=0.5
+    0  11.1111  6.2500  4.7619  4.1667  4.0000
+    1   5.9263  3.4768  2.7040  2.3799  2.2857
+    2   4.2857  2.5816  2.0299  1.7990  1.7297
+    3   3.5102  2.1484  1.7061  1.5190  1.4629
+    4   3.0655  1.9023  1.5207  1.3596  1.3111
+    5   2.7876  1.7480  1.4047  1.2598  1.2165
+    7   2.4764  1.5745  1.2748  1.1485  1.1113
+   10   2.2732  1.4619  1.1910  1.0772  1.0441
+   15   2.1662  1.4033  1.1478  1.0408  1.0101
+limit   2.1322  1.3852  1.1347  1.0299  1.0000
+"""
+
+
+@pytest.mark.parametrize("name", debias.__all__)
+def test_export_is_its_submodule_attribute(name):
+    home = importlib.import_module(f"debias.{debias._HOME[name]}")
+    assert getattr(debias, name) is getattr(home, name)
+
+
+def test_exports_cover_star_import_and_dir():
+    namespace = {}
+    exec("from debias import *", namespace)
+    assert set(debias.__all__) <= set(namespace)
+    assert set(debias.__all__) <= set(dir(debias))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        debias.no_such_name
+    with pytest.raises(ImportError):
+        exec("from debias import no_such_name", {})
+    assert not hasattr(debias, "_no_such_private")
+
+
+def test_submodules_still_import_by_name():
+    from debias import analysis, cli, coin, oracle
+
+    assert analysis.TABLE_DEPTHS is debias.TABLE_DEPTHS
+    assert coin.TraceNode is TraceNode
+    assert cli.main is main
+    assert oracle.verify_coin is debias.verify_coin
+
+
+def test_tracenode_keywords_and_defaults():
+    node = TraceNode(label="H", bit_log=(1, 0))
+    assert (node.label, node.bit_log, node.left, node.right) == ("H", (1, 0), None, None)
+    leaf = TraceNode("T", ())
+    parent = TraceNode("0", (1,), left=leaf)
+    assert parent.left is leaf and parent.right is None
+
+
+def test_tracenode_value_equality_and_hash():
+    a = TraceNode("1", (0,), TraceNode("T", ()), None)
+    b = TraceNode(label="1", bit_log=(0,), left=TraceNode("T", ()))
+    assert a == b and hash(a) == hash(b)
+    assert a != TraceNode("1", (0,))
+    assert len({a, b, TraceNode("1", (0,))}) == 2
+
+
+def test_tracenode_repr():
+    node = TraceNode("H", (1,), TraceNode("T", ()), None)
+    assert repr(node) == (
+        "TraceNode(label='H', bit_log=(1,), "
+        "left=TraceNode(label='T', bit_log=(), left=None, right=None), right=None)"
+    )
+
+
+@pytest.mark.parametrize("field", ["label", "bit_log", "left", "right"])
+def test_tracenode_is_immutable(field):
+    node = TraceNode("H", ())
+    with pytest.raises(AttributeError):
+        setattr(node, field, None)
+
+
+def test_tracenode_walk_and_depth():
+    ll = TraceNode("H", (0,))
+    left = TraceNode("0", (), left=ll)
+    right = TraceNode("T", ())
+    root = TraceNode("-", (1,), left, right)
+    assert list(root.walk()) == [("", root), ("L", left), ("LL", ll), ("R", right)]
+    assert list(left.walk("L")) == [("L", left), ("LL", ll)]
+    assert (root.depth, left.depth, ll.depth, right.depth) == (2, 1, 0, 0)
+    s = CoinExtractor()
+    s.process_all("HHTTHTTHHHTTHT")
+    trace = s.snapshot()
+    assert trace.depth == max(len(path) for path, _ in trace.walk())
+
+
+def test_analyze_defaults_print_the_frozen_table(capsys):
+    assert main(["analyze"]) == 0
+    assert capsys.readouterr().out == ANALYZE_DEFAULT
