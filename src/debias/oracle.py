@@ -1,16 +1,21 @@
 """Exact finite-horizon uniformity verification by full enumeration.
 
 For a given source model this walks every possible input sequence up to a
-horizon, carrying each branch's exact probability as a
-:class:`fractions.Fraction`, and stops a branch the moment the extractor
-has released ``k`` bits, attributing the branch's whole mass to the first
-``k`` bits released (the branch's continuations all share that prefix, so
-the attribution is exact).  Branches that reach the horizon without ``k``
-bits are pooled as ``incomplete`` mass.  Arithmetic is exact rational
-throughout, so the verdict is a proof for the finite configuration rather
-than a statistical test: the extractor output is uniform iff every k-bit
-pattern carries identical mass, and total mass must come back as exactly
-1 or the accounting itself is broken.
+horizon and stops a branch the moment the extractor has released ``k``
+bits, attributing the branch's whole mass to the first ``k`` bits released
+(the branch's continuations all share that prefix, so the attribution is
+exact).  Branches that reach the horizon without ``k`` bits are pooled as
+``incomplete`` mass.  The verdict is a proof for the finite configuration
+rather than a statistical test: the extractor output is uniform iff every
+k-bit pattern carries identical mass, and total mass must come back as
+exactly 1 or the accounting itself is broken.
+
+Arithmetic is exact throughout, and done on integers.  Every move
+probability is a multiple of ``1/den``, with ``den`` the least common
+multiple of their denominators, so a branch ``t`` moves deep carries its
+weight as an ``int`` numerator over ``den**t``, and stopped and incomplete
+masses are summed as numerators over ``den**horizon``.  They become
+:class:`fractions.Fraction` values once, in the :class:`UniformityReport`.
 
 The stopping prefixes explored this way are mutually prefix-free: once a
 branch stops, none of its extensions are walked.
@@ -21,9 +26,10 @@ each verifier caps both; pass ``force=True`` to exceed the cap deliberately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .coin import HEADS, TAILS, CoinExtractor
 from .dice import DiceExtractor
@@ -91,7 +97,11 @@ class UniformityReport:
         lines.append(f"  incomplete  {self.incomplete}")
         lines.append(f"total mass: {self.total}")
         if self.uniform:
-            lines.append(f"uniform: yes (each pattern {next(iter(self.masses.values()))})")
+            each = next(iter(self.masses.values()))
+            if each:
+                lines.append(f"uniform: yes (each pattern {each})")
+            else:  # nothing was captured, so equal masses prove nothing
+                lines.append("uniform: yes, vacuously (no pattern is reached within the horizon)")
         else:
             lines.append("uniform: NO")
         return "\n".join(lines)
@@ -105,6 +115,8 @@ class UniformityReport:
 
 
 def _as_probability(x, what: str) -> Fraction:
+    if isinstance(x, bool):
+        raise ValueError(f"{what} is not a valid probability: {x!r}")
     try:
         f = Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -135,31 +147,46 @@ def _check_size(branching: int, horizon: int, k: int, cap: int, force: bool) -> 
 def _enumerate(
     make_session: Callable[[], object],
     first_moves: Sequence[tuple[object, Fraction]],
-    next_moves: Callable[[object], Sequence[tuple[object, Fraction]]],
+    next_moves: Mapping[object, Sequence[tuple[object, Fraction]]],
     horizon: int,
     k: int,
 ) -> tuple[dict[str, Fraction], Fraction]:
-    masses = {format(i, f"0{k}b"): Fraction(0) for i in range(2**k)}
-    incomplete = Fraction(0)
+    """Walk every run of at most ``horizon`` moves, ``first_moves`` first and
+    ``next_moves[x]`` after move ``x``; return each k-bit pattern's mass and
+    the incomplete mass."""
+    den = math.lcm(*(pr.denominator for moves in (first_moves, *next_moves.values())
+                     for _, pr in moves))
+
+    def numerators(moves):  # moves of probability 0 are never walked
+        return tuple((x, pr.numerator * (den // pr.denominator)) for x, pr in moves if pr)
+
+    first = numerators(first_moves)
+    after = {x: numerators(moves) for x, moves in next_moves.items()}
+    # A branch that stops with steps_left moves to go is over den**(horizon -
+    # steps_left + 1); times rescale[steps_left] it is over den**horizon.
+    rescale = [0] + [den**j for j in range(horizon)]
+    sums = {format(i, f"0{k}b"): 0 for i in range(2**k)}
+    incomplete = 0
 
     # Depth-first with clone-on-branch; the last branch reuses the parent
     # session, so a straight-line walk allocates nothing extra.
-    def walk(session, weight: Fraction, moves, steps_left: int) -> None:
+    def walk(session, weight: int, moves, steps_left: int) -> None:
         nonlocal incomplete
-        live = [(x, pr) for x, pr in moves if pr != 0]
-        for i, (x, pr) in enumerate(live):
-            child = session.clone() if i < len(live) - 1 else session
+        last = len(moves) - 1
+        for i, (x, num) in enumerate(moves):
+            child = session.clone() if i < last else session
             child.process(x)
-            w = weight * pr
+            w = weight * num
             if len(child.output) >= k:
-                masses["".join(map(str, child.output[:k]))] += w
+                sums["".join(map(str, child.output[:k]))] += w * rescale[steps_left]
             elif steps_left == 1:
                 incomplete += w
             else:
-                walk(child, w, next_moves(x), steps_left - 1)
+                walk(child, w, after[x], steps_left - 1)
 
-    walk(make_session(), Fraction(1), first_moves, horizon)
-    return masses, incomplete
+    walk(make_session(), 1, first, horizon)
+    scale = den**horizon
+    return {pattern: Fraction(v, scale) for pattern, v in sums.items()}, Fraction(incomplete, scale)
 
 
 def verify_coin(
@@ -176,7 +203,7 @@ def verify_coin(
     _check_size(2, n_max, k, MAX_COIN_LEAVES, force)
     dist = ((HEADS, p), (TAILS, 1 - p))
     masses, incomplete = _enumerate(
-        lambda: CoinExtractor(depth_limit), dist, lambda _: dist, n_max, k
+        lambda: CoinExtractor(depth_limit), dist, dict.fromkeys((HEADS, TAILS), dist), n_max, k
     )
     return UniformityReport("coin", f"P(H)={p}", k, n_max, depth_limit, masses, incomplete)
 
@@ -200,7 +227,7 @@ def verify_dice(
     _check_size(m, n_max, k, MAX_DICE_LEAVES, force)
     moves = tuple((f, pr) for f, pr in enumerate(probs))
     masses, incomplete = _enumerate(
-        lambda: DiceExtractor(m, depth_limit), moves, lambda _: moves, n_max, k
+        lambda: DiceExtractor(m, depth_limit), moves, dict.fromkeys(range(m), moves), n_max, k
     )
     params = "dist=(" + ", ".join(str(pr) for pr in probs) + ")"
     return UniformityReport("dice", params, k, n_max, depth_limit, masses, incomplete)
@@ -234,7 +261,7 @@ def verify_markov(
     masses, incomplete = _enumerate(
         lambda: MarkovExtractor(m, depth_limit),
         ((start, Fraction(1)),),
-        lambda prev: moves_from[prev],
+        dict(enumerate(moves_from)),
         n_max + 1,  # the start state plus n_max transitions
         k,
     )
