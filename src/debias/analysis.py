@@ -15,6 +15,7 @@ At ``p = 1/2`` every level holds the single bias 1/2 with weight
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -76,27 +77,18 @@ def level_traffic(p: float, depth: int) -> list[tuple[float, float]]:
         level = children
 
 
-# bias -> running totals of the deepest pass made for it, in order of first use
-_PASSES: dict[float, list[tuple[float, float]]] = {}
-_MAX_PASSES = 64
+@functools.lru_cache(maxsize=64)
+def _pass(p: float, depth: int) -> tuple[tuple[float, float], ...]:
+    return tuple(accumulate(level_traffic(p, depth), lambda a, b: (a[0] + b[0], a[1] + b[1])))
 
 
-def _running_totals(p: float, depth: int) -> list[tuple[float, float]]:
+def _running_totals(p: float, depth: int) -> tuple[tuple[float, float], ...]:
     """Entry ``d``: (processing time, extraction rate) at depth limit ``d``.
     Tables and single cells share this one sum, so they agree exactly.
 
-    Entry ``d`` does not depend on how deep the pass went, so the deepest
-    pass per bias is kept and a shallower call returns a fresh copy of its
-    prefix."""
-    p = _check_bias(p)
-    depth = _check_depth(depth, finite=True)
-    totals = _PASSES.get(p)
-    if totals is None or len(totals) <= depth:
-        totals = list(accumulate(level_traffic(p, depth), lambda a, b: (a[0] + b[0], a[1] + b[1])))
-        if p not in _PASSES and len(_PASSES) >= _MAX_PASSES:
-            del _PASSES[next(iter(_PASSES))]
-        _PASSES[p] = totals
-    return totals[: depth + 1]
+    Kept per ``(p, depth)``, so the tosses and time tables on the same axes,
+    or repeated trials of one configuration, make one pass per bias."""
+    return _pass(_check_bias(p), _check_depth(depth, finite=True))
 
 
 def _per_bit(rate: float) -> float:

@@ -1,4 +1,4 @@
-"""The per-bias cache of level passes in :mod:`debias.analysis`: how many
+"""The cache of level passes in :mod:`debias.analysis`: how many
 ``level_traffic`` passes the tables, cells and ``debias bench`` make, and
 that a cached pass gives exactly what a fresh one does."""
 
@@ -29,25 +29,26 @@ def passes(monkeypatch):
         calls.append((p, depth))
         return fresh(p, depth)
 
-    monkeypatch.setattr(analysis, "_PASSES", {})
+    analysis._pass.cache_clear()
     monkeypatch.setattr(analysis, "level_traffic", counted)
-    return calls
+    yield calls
+    analysis._pass.cache_clear()
 
 
 def test_tables_on_the_same_axes_share_one_pass_per_bias(passes):
     tosses_table(DEPTHS, BIASES)
     time_table(DEPTHS, BIASES)
     assert passes == [(p, 16) for p in BIASES]
-    # single cells and a simulation no deeper than that pass read it too
+    # a cell at the tables' deepest depth reads the same pass
     for p in BIASES:
-        assert tosses_per_bit(p, 7) == tosses_table((7,), (p,))[0].values[0]
         processing_time(p, 16)
-    simulate_efficiency(0.3, 12, 50, seed=1)
+        extraction_rate(p, 16)
     assert passes == [(p, 16) for p in BIASES]
-    # a deeper request makes one deeper pass, then serves the shallower ones
-    processing_time(0.3, 18)
-    processing_time(0.3, 17)
-    assert passes[-1] == (0.3, 18) and len(passes) == len(BIASES) + 1
+    # any other depth makes its own pass, once
+    tosses_per_bit(0.3, 7)
+    processing_time(0.3, 7)
+    simulate_efficiency(0.3, 7, 50, seed=1)
+    assert passes == [(p, 16) for p in BIASES] + [(0.3, 7)]
 
 
 def test_bench_trials_make_one_pass(passes, capsys):
@@ -61,11 +62,6 @@ def test_cold_warm_and_single_cells_agree(passes):
     cold = (tosses_table(DEPTHS, BIASES), time_table(DEPTHS, BIASES))
     warm = (tosses_table(DEPTHS, BIASES), time_table(DEPTHS, BIASES))
     assert cold == warm
-    analysis._PASSES.clear()
-    for p in BIASES:  # warm from a deeper pass than any table row
-        processing_time(p, 19)
-    deeper = (tosses_table(DEPTHS, BIASES), time_table(DEPTHS, BIASES))
-    assert deeper == cold
     tosses, time = cold
     for row in tosses:
         assert row.values == tuple(tosses_per_bit(p, row.depth) for p in BIASES)
@@ -73,30 +69,31 @@ def test_cold_warm_and_single_cells_agree(passes):
         assert row.values == tuple(processing_time(p, row.depth) for p in BIASES)
 
 
-def test_every_prefix_of_a_pass_is_a_fresh_pass(passes):
-    deep = analysis._running_totals(0.3, 16)
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.77])
+def test_every_prefix_of_a_pass_is_a_fresh_pass(passes, p):
+    deep = analysis._running_totals(p, 16)
     for d in range(17):
-        analysis._PASSES.clear()
-        assert analysis._running_totals(0.3, d) == deep[: d + 1]
+        analysis._pass.cache_clear()
+        assert analysis._running_totals(p, d) == deep[: d + 1]
+    assert len(passes) == 18
 
 
-def test_returned_lists_are_fresh(passes):
+def test_results_cannot_be_changed_through_the_cache(passes):
     totals = analysis._running_totals(0.3, 9)
+    assert isinstance(totals, tuple)
     want = list(totals)
-    totals[3] = (0.0, 0.0)
-    totals.append((1.0, 1.0))
-    assert analysis._running_totals(0.3, 9) == want
-    assert analysis._running_totals(0.3, 5) == want[:6]
     rows = tosses_table(DEPTHS, BIASES)
     rows.clear()
     assert tosses_table(DEPTHS, BIASES)
+    assert list(analysis._running_totals(0.3, 9)) == want
     assert extraction_rate(0.3, 9) == want[9][1]
 
 
 def test_cache_is_bounded(passes):
-    for i in range(3 * analysis._MAX_PASSES):
-        extraction_rate(i / (3 * analysis._MAX_PASSES), 2)
-    assert len(analysis._PASSES) == analysis._MAX_PASSES
+    size = analysis._pass.cache_info().maxsize
+    for i in range(3 * size):
+        extraction_rate(i / (3 * size), 2)
+    assert analysis._pass.cache_info().currsize == size
 
 
 def test_a_warm_cache_still_checks_arguments(passes):
