@@ -262,9 +262,11 @@ def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None
     ``--state-order`` values (None without one) and the alphabet size m
     (None when the prescan is to infer it)."""
     mode = args.mode
+    if args.state_order and mode != "markov":
+        parser.error("--state-order only applies to --mode markov")
     if mode in ("coin", "vonneumann"):
-        if args.state_order:
-            parser.error("--state-order only applies to --mode markov")
+        if args.m is not None:
+            parser.error("--m only applies to --mode dice or markov")
         return None, 2
 
     if args.input_format == "bits":
@@ -272,8 +274,6 @@ def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None
 
     order = None
     if args.state_order:
-        if mode != "markov":
-            parser.error("--state-order only applies to --mode markov")
         try:
             order = [int(t) for t in args.state_order.split(",")]
         except ValueError:
@@ -443,7 +443,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
                 matrix, args.start, args.n_max, args.bits, args.depth, args.force
             )
     except oracle.HorizonTooLarge as exc:
-        parser.error(str(exc))
+        parser.error(f"enumeration exceeds its cap of {exc.cap} branches or output patterns "
+                     f"(size {exc.leaves} or more); pass --force to run it anyway")
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(str(exc))
     _write_text(report.to_csv() if args.format == "csv" else report.to_text(), args.output,

@@ -44,8 +44,9 @@ arena (see :mod:`debias.dice`), shown per tree through :class:`TreeView`.
 :meth:`CoinExtractor.feed` is the bulk entry point.  It drains an
 iterable with the session state in locals, handles the root inline (about
 half of all symbols touch only the root), and stops as soon as the output
-reaches a requested length.  :meth:`CoinExtractor.process` is the
-per-symbol form of the same loop, and :func:`take_bits` drives every
+reaches a requested length.  ``feed`` is the only path that steps a coin,
+dice or Markov session: :meth:`Arena.process` is a one-item ``feed``, and
+:func:`take_bits` and the exact oracle of :mod:`debias.oracle` drive every
 session type in the package through ``feed``.
 """
 
@@ -166,9 +167,12 @@ _AT_CAP = -1  # the node sits at the depth cap and forwards nothing
 class Session:
     """Base for the extractor sessions in this package.
 
-    A session keeps its released bits in ``output`` and consumes one item
-    at a time with ``process``.  This base adds :meth:`feed`, the entry
-    point of :func:`take_bits`, and :meth:`process_all` on top of it.
+    A session keeps its released bits in ``output`` and consumes items
+    with :meth:`feed`, the entry point of :func:`take_bits` and of
+    :meth:`process_all`.  The base ``feed`` calls ``process`` once per
+    item, for a subclass that defines ``process`` (the von Neumann
+    baseline).  The :class:`Arena` sessions override ``feed`` with loops
+    of their own, and get ``process`` as a one-item ``feed``.
     """
 
     output: list[int]
@@ -209,6 +213,9 @@ class Arena(Session):
     next index) and a depth ``_depth[i]``.  ``_src[j]`` is the node that
     released ``output[j]``.  The nodes of different trees interleave in the
     lists.
+
+    A subclass steps its trees only in its own ``feed``; :meth:`process`
+    is the one-item form of it for every subclass.
     """
 
     def __init__(self, depth_limit: int | None) -> None:
@@ -229,8 +236,9 @@ class Arena(Session):
         self._depth.append(0)
         return i
 
-    def _step(self, item) -> StepResult:
-        """One-item ``feed``; return the bits and deliveries it added."""
+    def process(self, item) -> StepResult:
+        """Consume one item through ``feed``; return the bits it released
+        and the number of node deliveries it made."""
         n0, m0 = len(self.output), self.messages_total
         self.feed((item,))
         return StepResult(self.output[n0:], self.messages_total - m0)
@@ -406,11 +414,6 @@ class CoinExtractor(Arena):
             self.symbols_consumed += n
             self.messages_total += n + extra
         return n
-
-    def process(self, symbol: str) -> StepResult:
-        """Consume one symbol; return the bits it released and the number
-        of node deliveries it triggered (always at least 1)."""
-        return self._step(symbol)
 
     def snapshot(self) -> TraceNode:
         """Immutable copy of the current tree (labels plus bit logs)."""

@@ -24,9 +24,9 @@ read as ``H``/``T``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .coin import _UNBOUNDED, HEADS, TAILS, Arena, StepResult, TreeView
+from .coin import _UNBOUNDED, HEADS, TAILS, Arena, TreeView
 
 
 def face_width(m: int) -> int:
@@ -85,42 +85,34 @@ def _slot_prefix(slot: int) -> str:
     return bin(slot)[3:].replace("1", HEADS).replace("0", TAILS)
 
 
-def _face_deliverer(session: Arena) -> Callable[[int, int], int]:
-    """Return ``deliver(base, face)`` for a dice or Markov session.  It
-    delivers the bits of ``face``, position 0 first, to the trees at slots
-    ``base | slot`` and returns the number of node deliveries made.
+def _deliver(session: Arena, base: int, face: int) -> int:
+    """Deliver the bits of ``face``, position 0 first, to the trees of a
+    dice or Markov session at slots ``base | slot``; return the number of
+    node deliveries made.
 
     ``session._roots`` maps a slot to its root index and gains an entry on
-    a slot's first delivery; ``session.width`` is the word width.  The
-    function holds the session's lists, which stay the same objects for
-    the life of the session.
+    a slot's first delivery; ``session.width`` is the word width.
     """
-    label, out, src, roots = session._label, session.output, session._src, session._roots
-    cascade, new_root = session._cascade, session._new_root
-    shifts = range(session.width - 1, -1, -1)
-
-    def deliver(base: int, face: int) -> int:
-        n = 0
-        slot = 1
-        for sh in shifts:
-            bit = face >> sh & 1
-            key = base | slot
-            r = roots.get(key)
-            if r is None:
-                r = roots[key] = new_root()
-            held = label[r]
-            if held == 0 or held > 2:  # no pair completed: release any held bit, hold the symbol
-                if held:
-                    out.append(held - 3)
-                    src.append(r)
-                label[r] = 2 - bit
-                n += 1
-            else:
-                n += cascade(r, 2 - bit)
-            slot = slot << 1 | bit
-        return n
-
-    return deliver
+    label, roots = session._label, session._roots
+    n = 0
+    slot = 1
+    for sh in range(session.width - 1, -1, -1):
+        bit = face >> sh & 1
+        key = base | slot
+        r = roots.get(key)
+        if r is None:
+            r = roots[key] = session._new_root()
+        held = label[r]
+        if held == 0 or held > 2:  # no pair completed: release any held bit, hold the symbol
+            if held:
+                session.output.append(held - 3)
+                session._src.append(r)
+            label[r] = 2 - bit
+            n += 1
+        else:
+            n += session._cascade(r, 2 - bit)
+        slot = slot << 1 | bit
+    return n
 
 
 class DiceExtractor(Arena):
@@ -154,7 +146,6 @@ class DiceExtractor(Arena):
         stop = _UNBOUNDED if until is None else until
         if len(out) >= stop:
             return 0
-        deliver = _face_deliverer(self)
         m = self.m
         n = messages = 0
         try:
@@ -162,17 +153,13 @@ class DiceExtractor(Arena):
                 if type(face) is not int or not 0 <= face < m:  # full check off the fast path
                     _check_face(face, m)
                 n += 1
-                messages += deliver(0, face)
+                messages += _deliver(self, 0, face)
                 if len(out) >= stop:
                     break
         finally:
             self.faces_consumed += n
             self.messages_total += messages
         return n
-
-    def process(self, face: int) -> StepResult:
-        """Consume one face; return bits released and deliveries made."""
-        return self._step(face)
 
     def clone(self) -> DiceExtractor:
         """Independent copy; processing one never affects the other."""

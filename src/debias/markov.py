@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .coin import _UNBOUNDED, Arena, StepResult, TreeView
-from .dice import _face_deliverer, _is_index, _slot_prefix, face_width
+from .coin import _UNBOUNDED, Arena, TreeView
+from .dice import _deliver, _is_index, _slot_prefix, face_width
 
 
 class UnknownState(Exception):
@@ -75,6 +75,10 @@ class MarkovExtractor(Arena):
     ``forests`` (a view of the per-state forests) and ``pending`` (the
     parked exit per state) are exposed for inspection; states never
     visited have no entry in either.
+
+    The first state fed only records where the walk starts, and delivers
+    nothing.  Each later state parks the new exit of the previous state
+    and delivers the exit that was already parked there, if any.
     """
 
     def __init__(self, n_states: int, depth_limit: int | None = None) -> None:
@@ -110,7 +114,6 @@ class MarkovExtractor(Arena):
         stop = _UNBOUNDED if until is None else until
         if len(out) >= stop:
             return 0
-        deliver = _face_deliverer(self)
         pending, faces = self.pending, self._faces
         n_states, w = self.n_states, self.width
         last = self.last_state
@@ -130,7 +133,7 @@ class MarkovExtractor(Arena):
                     faces[prev] = 0
                     continue
                 faces[prev] += 1
-                messages += deliver(prev << w, parked)
+                messages += _deliver(self, prev << w, parked)
                 if len(out) >= stop:
                     break
         finally:
@@ -138,15 +141,6 @@ class MarkovExtractor(Arena):
             self.symbols_consumed += n
             self.messages_total += messages
         return n
-
-    def process(self, state: int) -> StepResult:
-        """Consume one step of the walk; return bits released this step.
-
-        The first call only records the starting state.  Later calls park
-        the new exit of the previous state and deliver the exit that was
-        already parked there, if any.
-        """
-        return self._step(state)
 
     def clone(self) -> MarkovExtractor:
         """Independent copy; processing one never affects the other."""

@@ -18,7 +18,10 @@ masses are summed as numerators over ``den**horizon``.  They become
 :class:`fractions.Fraction` values once, in the :class:`UniformityReport`.
 
 The stopping prefixes explored this way are mutually prefix-free: once a
-branch stops, none of its extensions are walked.
+branch stops, none of its extensions are walked.  Open branches wait on
+an explicit list, not on the call stack, so the horizon is not bounded by
+the interpreter's recursion limit, and each branch steps its session with
+a one-item ``feed``.
 
 Enumeration is exponential in the horizon and the mass table in ``k``, so
 each verifier caps both; pass ``force=True`` to exceed the cap deliberately.
@@ -168,23 +171,23 @@ def _enumerate(
     sums = {format(i, f"0{k}b"): 0 for i in range(2**k)}
     incomplete = 0
 
-    # Depth-first with clone-on-branch; the last branch reuses the parent
+    # Depth-first with clone-on-branch.  Each open branch is a (session,
+    # weight, moves, steps_left) entry on a list; its last move reuses the
     # session, so a straight-line walk allocates nothing extra.
-    def walk(session, weight: int, moves, steps_left: int) -> None:
-        nonlocal incomplete
+    branches = [(make_session(), 1, first, horizon)]
+    while branches:
+        session, weight, moves, steps_left = branches.pop()
         last = len(moves) - 1
         for i, (x, num) in enumerate(moves):
             child = session.clone() if i < last else session
-            child.process(x)
+            child.feed((x,))
             w = weight * num
             if len(child.output) >= k:
                 sums["".join(map(str, child.output[:k]))] += w * rescale[steps_left]
             elif steps_left == 1:
                 incomplete += w
             else:
-                walk(child, w, after[x], steps_left - 1)
-
-    walk(make_session(), 1, first, horizon)
+                branches.append((child, w, after[x], steps_left - 1))
     scale = den**horizon
     return {pattern: Fraction(v, scale) for pattern, v in sums.items()}, Fraction(incomplete, scale)
 

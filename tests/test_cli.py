@@ -476,6 +476,8 @@ def test_unopenable_path_is_reported_before_the_prescan(m, flag, tmp_path, capsy
     [
         ["--mode", "coin", "--bits", "-1"],
         ["--mode", "coin", "--state-order", "1,2"],
+        ["--mode", "coin", "--m", "7"],
+        ["--mode", "vonneumann", "--m", "7"],
         ["--mode", "dice", "--input-format", "bits"],
         ["--mode", "dice", "--state-order", "1,2"],
         ["--mode", "markov", "--state-order", "1,x"],
@@ -485,7 +487,7 @@ def test_unopenable_path_is_reported_before_the_prescan(m, flag, tmp_path, capsy
         ["--mode", "dice", "--m", "1"],
         ["--mode", "dice", "--input", "-"],
     ],
-    ids=["bits", "coin-order", "dice-bits", "dice-order", "order-int", "order-distinct",
+    ids=["bits", "coin-order", "coin-m", "vonneumann-m", "dice-bits", "dice-order", "order-int", "order-distinct",
          "order-m", "order-one", "m-one", "stdin-prescan"],
 )
 def test_argument_error_leaves_output_untouched(argv, tmp_path, capsys, monkeypatch):

@@ -40,4 +40,5 @@ def test_cli_refuses_wide_bits(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--mode", "coin", "--p", "1/3", "--n-max", "4", "--bits", "40"])
     assert exc.value.code == 4
-    assert "force" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--force" in err and "force=True" not in err

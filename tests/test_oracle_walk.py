@@ -1,7 +1,7 @@
 """The oracle's integer-weight walk, checked against the ``Fraction`` walk
 in ``fraction_walk_reference``; the number of session steps and clones it
-makes; booleans refused as probabilities; and the wording of a verdict
-that no pattern reached."""
+makes; booleans refused as probabilities; the wording of a verdict that
+no pattern reached; and horizons deeper than the recursion limit."""
 
 from fractions import Fraction
 
@@ -84,8 +84,8 @@ def test_markov_rows_with_zero_entries():
 
 
 # The verifier configurations of the exact_checks benchmark and the session
-# steps and clones their walks make: one step per branch, and one clone per
-# branch that is not the last of its parent.
+# steps and clones their walks make: one step, a one-item ``feed``, per
+# branch, and one clone per branch that is not the last of its parent.
 BENCHMARK_WALKS = [
     (lambda: oracle.verify_coin("1/3", 15, 4, None, force=True), CoinExtractor, 10_046, 5_023),
     (lambda: oracle.verify_dice(["1/2", "1/3", "1/6"], 9, 2, None, force=True),
@@ -97,13 +97,14 @@ BENCHMARK_WALKS = [
 
 @pytest.mark.parametrize("run, cls, steps, clones", BENCHMARK_WALKS)
 def test_benchmark_walks_cost_the_same(run, cls, steps, clones, monkeypatch):
-    counts = {"process": 0, "clone": 0}
+    counts = {"feed": 0, "process": 0, "clone": 0}
 
     def counted(name):
         original = getattr(cls, name)
 
         def wrapper(self, *args):
-            counts[name] += 1
+            if name != "feed" or len(args[0]) == 1:
+                counts[name] += 1
             return original(self, *args)
 
         return wrapper
@@ -112,7 +113,7 @@ def test_benchmark_walks_cost_the_same(run, cls, steps, clones, monkeypatch):
         monkeypatch.setattr(cls, name, counted(name))
     report = run()
     assert report.uniform and report.total == 1
-    assert counts == {"process": steps, "clone": clones}
+    assert counts == {"feed": steps, "process": 0, "clone": clones}
 
 
 @pytest.mark.parametrize("verify", [
@@ -137,3 +138,24 @@ def test_vacuous_verdict_says_so(capsys):
     # a verdict that did capture mass keeps its wording
     assert oracle.verify_coin("1/3", 6, 1).to_text().splitlines()[-1].startswith(
         "uniform: yes (each pattern ")
+
+
+DEEP = 3000  # well past the interpreter's default recursion limit of 1000
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: oracle.verify_coin(0, DEEP, 1, force=True),
+    lambda: oracle.verify_dice([1, 0, 0], DEEP, 1, force=True),
+    lambda: oracle.verify_markov([[1, 0], [0, 1]], 0, DEEP, 1, force=True),
+], ids=["coin", "dice", "markov"])
+def test_deep_horizon_on_a_degenerate_source(verify):
+    report = verify()
+    assert report.incomplete == 1 and report.captured == 0
+    assert report.to_text().endswith(
+        "uniform: yes, vacuously (no pattern is reached within the horizon)")
+
+
+def test_cli_deep_horizon_exits_zero(capsys):
+    argv = ["verify", "--mode", "coin", "--p", "0", "--n-max", str(DEEP), "--bits", "1", "--force"]
+    assert main(argv) == 0
+    assert "vacuously" in capsys.readouterr().out
