@@ -13,12 +13,13 @@ import contextlib
 import io
 import os
 import re
+import stat
 import sys
 import time
 
 from .coin import HEADS, TAILS, CoinExtractor, SourceExhausted, take_bits
 
-# Each command imports the rest of the package, and json and fractions,
+# Each command imports the rest of the package, and json,
 # where it uses them: ``extract`` loads only the modules its mode runs.
 
 EXIT_OK = 0
@@ -182,13 +183,13 @@ def _mapped_states(batches, mapping: dict[int, int]):
         yield states
 
 
-def _prescan_m(path: str, parser: _Parser) -> int:
+def _prescan_m(stream, path: str, parser: _Parser) -> int:
     largest = -1
-    with open(path, "rb") as f:
-        for values, _, _ in _int_tokens(f):
-            largest = max([largest, *values])
+    for values, _, _ in _int_tokens(stream):
+        largest = max([largest, *values])
     if largest < 0:
         parser.error(f"cannot infer m from {path!r} (no values); pass --m")
+    stream.seek(0)
     return max(largest + 1, 2)
 
 
@@ -294,6 +295,27 @@ def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None
     return order, m
 
 
+def _refuse_input_as_output(stream, paths, parser: _Parser) -> None:
+    """End with a configuration error (exit 4) when one of ``paths`` names
+    the regular file the input is read from: opening it for writing would
+    truncate the input before its first read."""
+    try:
+        source = os.fstat(stream.fileno())
+    except (AttributeError, OSError, ValueError):  # no file descriptor behind it
+        return
+    if not stat.S_ISREG(source.st_mode):
+        return
+    for path in paths:
+        if path in (None, "-"):
+            continue
+        try:
+            same = os.path.samestat(source, os.stat(path))
+        except OSError:  # not there yet
+            continue
+        if same:
+            parser.error(f"{path!r} is the input file; write the output elsewhere")
+
+
 def _build_extract_session(args, parser: _Parser, stream, order, m):
     """Returns (session, iterator of symbol batches, m_for_stats) for the
     ``order`` and ``m`` of :func:`_extract_config`.  With m None, the
@@ -308,7 +330,7 @@ def _build_extract_session(args, parser: _Parser, stream, order, m):
         return VonNeumannExtractor(), symbols, m
 
     if m is None:
-        m = _prescan_m(args.input, parser)
+        m = _prescan_m(stream, args.input, parser)
     tokens = _int_tokens(stream)
     if mode == "dice":
         from .dice import DiceExtractor
@@ -333,6 +355,10 @@ def _cmd_extract(args, parser: _Parser) -> int:
 
         stream = sys.stdin.buffer if args.input == "-" else opened(args.input, "rb")
         order, m = _extract_config(args, parser)
+        if m is None and not stream.seekable():
+            parser.error(f"--mode {args.mode} on {args.input!r} needs --m "
+                         "(the prescan cannot rewind a pipe)")
+        _refuse_input_as_output(stream, (args.output, args.stats_file), parser)
         # every path is checked before the first read of the input, which
         # may be the prescan in _build_extract_session
         out = sys.stdout.buffer if args.output == "-" else opened(args.output, "wb")
@@ -415,12 +441,6 @@ def _cmd_analyze(args, parser: _Parser) -> int:
 # -------------------------------------------------------------- verify
 
 
-def _parse_fractions(text: str) -> list:
-    from fractions import Fraction
-
-    return [Fraction(tok.strip()) for tok in text.split(",")]
-
-
 def _cmd_verify(args, parser: _Parser) -> int:
     from . import oracle
 
@@ -433,19 +453,19 @@ def _cmd_verify(args, parser: _Parser) -> int:
             if args.dist is None:
                 parser.error("--mode dice needs --dist")
             report = oracle.verify_dice(
-                _parse_fractions(args.dist), args.n_max, args.bits, args.depth, args.force
+                args.dist.split(","), args.n_max, args.bits, args.depth, args.force
             )
         else:
             if args.matrix is None:
                 parser.error("--mode markov needs --matrix")
-            matrix = [_parse_fractions(row) for row in args.matrix.split(";")]
+            matrix = [row.split(",") for row in args.matrix.split(";")]
             report = oracle.verify_markov(
                 matrix, args.start, args.n_max, args.bits, args.depth, args.force
             )
     except oracle.HorizonTooLarge as exc:
         parser.error(f"enumeration exceeds its cap of {exc.cap} branches or output patterns "
                      f"(size {exc.leaves} or more); pass --force to run it anyway")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     _write_text(report.to_csv() if args.format == "csv" else report.to_text(), args.output,
                 parser)

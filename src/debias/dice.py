@@ -39,9 +39,7 @@ def face_width(m: int) -> int:
 def _is_index(x: object, n: int) -> bool:
     """True for an int in ``0..n-1``.  Booleans are not indices, although
     ``bool`` subclasses ``int``."""
-    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
-        return False
-    return 0 <= x < n
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _check_face(face: object, m: int) -> None:

@@ -17,7 +17,10 @@ permutation of the original (same symbol counts, hence equally probable
 under any i.i.d. source) with the same final symbol, and that extracts
 back to the same tree with the substituted logs.  This is what makes the
 released bits exchangeable, and it is exposed as
-:func:`flip_and_rebuild`.
+:func:`flip_and_rebuild`, which checks the substitutions as
+:func:`replace_logs` does and then runs the rebuild on the original
+trace, reading each substituted log by its node path instead of copying
+the tree.
 
 Depth-limited traces discard child messages at the cap, so they are not
 invertible; feeding one in raises :class:`InconsistentTrace` wherever the
@@ -70,17 +73,18 @@ def reconstruct(trace: TraceNode) -> str:
     >>> reconstruct(s.snapshot())
     'HTTTHT'
     """
-    return _node_history(trace, "")
+    return _node_history(trace, "", {})
 
 
-def _node_history(node: TraceNode, path: str) -> str:
+def _node_history(node: TraceNode, path: str, logs: Mapping[str, tuple[int, ...]]) -> str:
     if node.label not in LABELS:
         raise InconsistentTrace(path, f"unknown label {node.label!r}")
-    if any(b not in (0, 1) for b in node.bit_log):
-        raise InconsistentTrace(path, f"bit log contains non-bits: {node.bit_log!r}")
+    log = logs.get(path, node.bit_log)
+    if any(b not in (0, 1) for b in log):
+        raise InconsistentTrace(path, f"bit log contains non-bits: {log!r}")
 
     # Every bit this node has decided: released ones, then a held one.
-    decided = list(node.bit_log)
+    decided = list(log)
     if node.label in (HOLD_ZERO, HOLD_ONE):
         decided.append(int(node.label))
 
@@ -91,8 +95,8 @@ def _node_history(node: TraceNode, path: str) -> str:
     if node.left is None or node.right is None:
         raise InconsistentTrace(path, "children must exist in pairs")
 
-    left_hist = _node_history(node.left, path + "L")
-    right_hist = _node_history(node.right, path + "R")
+    left_hist = _node_history(node.left, path + "L", logs)
+    right_hist = _node_history(node.right, path + "R", logs)
 
     # One left symbol per completed pair; unequal pairs account for the
     # decided bits, equal pairs for the right child's symbols.
@@ -117,8 +121,6 @@ def _node_history(node: TraceNode, path: str) -> str:
                 raise InconsistentTrace(path, "more equal pairs than repeated symbols")
             pairs.append("HH" if right_hist[rep_i] == HEADS else "TT")
             rep_i += 1
-    if bit_i != len(decided):
-        raise InconsistentTrace(path, "decided bits left over after replaying pairs")
 
     if node.label in (HEADS, TAILS):
         pairs.append(node.label)  # trailing unpaired symbol
@@ -130,6 +132,26 @@ def collect_logs(trace: TraceNode) -> dict[str, tuple[int, ...]]:
     return {path: node.bit_log for path, node in trace.walk()}
 
 
+def _checked_logs(
+    trace: TraceNode, new_logs: Mapping[str, Sequence[int]]
+) -> dict[str, tuple[int, ...]]:
+    """``new_logs`` as tuples, after the checks :func:`replace_logs` names;
+    the per-node checks run in preorder."""
+    nodes = dict(trace.walk())
+    unknown = set(new_logs) - nodes.keys()
+    if unknown:
+        raise ValueError(f"no node at path(s) {sorted(unknown)!r}")
+    logs = {}
+    for path, node in nodes.items():
+        if path in new_logs:
+            log = logs[path] = tuple(new_logs[path])
+            if len(log) != len(node.bit_log):
+                raise LengthMismatch(path, len(node.bit_log), len(log))
+            if any(b not in (0, 1) for b in log):
+                raise ValueError(f"replacement log at {path or '<root>'} contains non-bits")
+    return logs
+
+
 def replace_logs(trace: TraceNode, new_logs: Mapping[str, Sequence[int]]) -> TraceNode:
     """Copy of the snapshot with some nodes' released bits substituted.
 
@@ -139,29 +161,15 @@ def replace_logs(trace: TraceNode, new_logs: Mapping[str, Sequence[int]]) -> Tra
     ``ValueError``.  Held bits live in labels, not logs, and are never
     touched.
     """
-    known = {path for path, _ in trace.walk()}
-    unknown = set(new_logs) - known
-    if unknown:
-        raise ValueError(f"no node at path(s) {sorted(unknown)!r}")
-    return _substitute(trace, "", new_logs)
+    return _substitute(trace, "", _checked_logs(trace, new_logs))
 
 
-def _substitute(
-    node: TraceNode, path: str, new_logs: Mapping[str, Sequence[int]]
-) -> TraceNode:
-    log = node.bit_log
-    if path in new_logs:
-        replacement = tuple(new_logs[path])
-        if len(replacement) != len(log):
-            raise LengthMismatch(path, len(log), len(replacement))
-        if any(b not in (0, 1) for b in replacement):
-            raise ValueError(f"replacement log at {path or '<root>'} contains non-bits")
-        log = replacement
+def _substitute(node: TraceNode, path: str, logs: Mapping[str, tuple[int, ...]]) -> TraceNode:
     return TraceNode(
         label=node.label,
-        bit_log=log,
-        left=_substitute(node.left, path + "L", new_logs) if node.left else None,
-        right=_substitute(node.right, path + "R", new_logs) if node.right else None,
+        bit_log=logs.get(path, node.bit_log),
+        left=_substitute(node.left, path + "L", logs) if node.left else None,
+        right=_substitute(node.right, path + "R", logs) if node.right else None,
     )
 
 
@@ -172,7 +180,7 @@ def flip_and_rebuild(trace: TraceNode, new_logs: Mapping[str, Sequence[int]]) ->
     same final symbol, and extracting from it reproduces the same tree
     shape and labels with exactly the substituted logs.
     """
-    return reconstruct(replace_logs(trace, new_logs))
+    return _node_history(trace, "", _checked_logs(trace, new_logs))
 
 
 def equivalent(x: Sequence[str], y: Sequence[str]) -> bool:
@@ -182,19 +190,10 @@ def equivalent(x: Sequence[str], y: Sequence[str]) -> bool:
     the same labels, and the same number of released bits at every node;
     the released bit values themselves are allowed to differ.
     """
-    a = CoinExtractor()
-    a.process_all(x)
-    b = CoinExtractor()
-    b.process_all(y)
-    return _same_shape(a.snapshot(), b.snapshot())
-
-
-def _same_shape(u: TraceNode | None, v: TraceNode | None) -> bool:
-    if u is None or v is None:
-        return u is v
-    return (
-        u.label == v.label
-        and len(u.bit_log) == len(v.bit_log)
-        and _same_shape(u.left, v.left)
-        and _same_shape(u.right, v.right)
-    )
+    shapes = []
+    for symbols in (x, y):
+        session = CoinExtractor()
+        session.process_all(symbols)
+        shapes.append([(path, node.label, len(node.bit_log))
+                       for path, node in session.snapshot().walk()])
+    return shapes[0] == shapes[1]

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .coin import HEADS, TAILS, CoinExtractor
-from .dice import DiceExtractor
+from .dice import DiceExtractor, _is_index
 from .markov import MarkovExtractor
 
 # Enumeration size guards on branching^horizon leaves and 2^k output patterns.
@@ -256,7 +256,7 @@ def verify_markov(
             raise ValueError(f"matrix row {i} has {len(row)} entries, expected {m}")
         if sum(row) != 1:
             raise ValueError(f"matrix row {i} must sum to 1, got {sum(row)}")
-    if isinstance(start, bool) or not isinstance(start, int) or not 0 <= start < m:
+    if not _is_index(start, m):
         raise ValueError(f"start must be a state in 0..{m - 1}, got {start!r}")
     _check_counts(k, n_max)
     _check_size(m, n_max, k, MAX_MARKOV_LEAVES, force)

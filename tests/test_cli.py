@@ -127,6 +127,35 @@ def test_extract_dice_prescans_m_from_file(tmp_path, capsys):
     assert (code, out) == (0, "010011\n")
 
 
+@pytest.mark.parametrize("mode", ["dice", "markov"])
+def test_prescan_rewinds_a_file_of_many_reads(mode, tmp_path, capsys):
+    tokens, data = _tokens_cut_at_reads(random.Random(5), 3)
+    f = tmp_path / "values.txt"
+    f.write_bytes(data)
+    given = run_cli(["extract", "--mode", mode, "--m", str(max(tokens) + 1), "--input", str(f)],
+                    capsys)
+    inferred = run_cli(["extract", "--mode", mode, "--input", str(f)], capsys)
+    assert given[0] == 0 and given[1].strip()
+    assert inferred == given
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("mode", ["dice", "markov"])
+def test_prescan_refuses_an_input_it_cannot_rewind(mode, capsys):
+    data = b"0 1 2 1 1 2 2 1 0\n"
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        code, out, err = run_cli(["extract", "--mode", mode, "--input", f"/dev/fd/{r}"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "--m" in err
+        assert os.read(r, 1024) == data  # nothing was read from the pipe
+    finally:
+        os.close(r)
+
+
 def test_extract_dice_face_out_of_range(tmp_path, capsys):
     f = tmp_path / "faces.txt"
     f.write_text("0 1 3")
@@ -310,6 +339,34 @@ def test_verify_config_errors(capsys):
     for argv in cases:
         code, _, err = run_cli(argv, capsys)
         assert code == 4, argv
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--p", "1/0", "p is not a valid probability: '1/0'"),
+        ("--dist", "1/2,1/0", "dist[1] is not a valid probability: '1/0'"),
+        ("--dist", "1/2, 1/3,x", "dist[2] is not a valid probability: 'x'"),
+        ("--matrix", "1/3,2/3;3/4,1/0", "matrix[1][1] is not a valid probability: '1/0'"),
+    ],
+    ids=["coin", "dice-zero-denominator", "dice-not-a-number", "markov"],
+)
+def test_verify_errors_name_the_entry(flag, value, message, capsys):
+    mode = {"--p": "coin", "--dist": "dice", "--matrix": "markov"}[flag]
+    code, out, err = run_cli(
+        ["verify", "--mode", mode, flag, value, "--n-max", "4", "--bits", "1"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert message in err
+
+
+def test_verify_entries_may_carry_spaces(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--mode", "dice", "--dist", " 1/2, 1/3 ,1/6", "--n-max", "7", "--bits", "1"],
+        capsys,
+    )
+    assert code == 0 and "dist=(1/2, 1/3, 1/6)" in out
 
 
 def test_verify_force_overrides_guard(capsys):
@@ -506,6 +563,47 @@ def test_argument_error_leaves_output_untouched(argv, tmp_path, capsys, monkeypa
     assert err.startswith("debias: error: ") and "cannot open" not in err
     assert kept.read_text() == "earlier output\n"
     assert not stats.exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--stats-file"])
+@pytest.mark.parametrize("alias", ["same-path", "symlink"])
+def test_output_naming_the_input_is_config_error(flag, alias, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    source = tmp_path / "flips.txt"
+    source.write_bytes(b"HTTTHT\n")
+    target = source
+    if alias == "symlink":
+        target = tmp_path / "link.txt"
+        target.symlink_to(source)
+    code, out, err = run_cli(
+        ["extract", "--mode", "coin", "--input", str(source), flag, str(target)], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("debias: error: ") and "is the input file" in err
+    assert source.read_bytes() == b"HTTTHT\n"
+
+
+def test_output_naming_another_file_is_written(coin_file, tmp_path, capsys):
+    dest = tmp_path / "bits.txt"
+    stats = tmp_path / "stats.json"
+    code, _, _ = run_cli(
+        ["extract", "--mode", "coin", "--input", coin_file, "--output", str(dest),
+         "--stats-file", str(stats)],
+        capsys,
+    )
+    assert code == 0
+    assert dest.read_text() == "11\n"
+    assert json.loads(stats.read_text())["output_bits"] == 2
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_a_device_may_be_both_input_and_output(capsys):
+    # only a regular file is truncated by opening it for writing
+    code, _, err = run_cli(
+        ["extract", "--mode", "coin", "--input", os.devnull, "--output", os.devnull], capsys
+    )
+    assert (code, err) == (0, "")
 
 
 def test_prescan_reads_after_every_path_is_open(tmp_path, capsys):

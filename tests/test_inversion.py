@@ -161,6 +161,49 @@ def test_inconsistent_traces_are_rejected():
     assert exc.value.path == ""
 
 
+@pytest.mark.parametrize(
+    "trace, detail",
+    [
+        (TraceNode("-", (2,)), "non-bits"),
+        (TraceNode("-", (), TraceNode("T", ())), "children must exist in pairs"),
+        (TraceNode("-", (), TraceNode("H", ()), TraceNode("T", ())),
+         "more unequal pairs than decided bits"),
+        (TraceNode("-", (1,), TraceNode("T", ()), TraceNode("-", ())),
+         "more equal pairs than repeated symbols"),
+    ],
+    ids=["non-bit", "one-child", "unequal-pairs", "equal-pairs"],
+)
+@pytest.mark.parametrize("rebuild", [reconstruct, lambda t: flip_and_rebuild(t, {})],
+                         ids=["reconstruct", "flip_and_rebuild"])
+def test_each_consistency_check_fires_at_the_root(trace, detail, rebuild):
+    with pytest.raises(InconsistentTrace, match=detail) as exc:
+        rebuild(trace)
+    assert exc.value.path == ""
+
+
+def test_flip_checks_substitutions_before_the_trace():
+    # the substitution checks run first, in preorder, as replace_logs's do
+    t = trace_of("HTTTHT")
+    with pytest.raises(ValueError, match="no node"):
+        flip_and_rebuild(t, {"L": [0, 1], "RRR": []})
+    with pytest.raises(LengthMismatch) as exc:
+        flip_and_rebuild(t, {"L": [0, 1], "": [0, 0]})
+    assert exc.value.path == ""
+    with pytest.raises(ValueError, match="non-bits"):
+        flip_and_rebuild(t, {"L": [2]})
+    bad = TraceNode("?", t.bit_log, t.left, t.right)
+    with pytest.raises(LengthMismatch):
+        flip_and_rebuild(bad, {"L": [0, 1]})
+
+
+@given(ht_strings, st.randoms(use_true_random=False))
+def test_flip_rebuilds_what_the_replaced_copy_does(xs, rng):
+    trace = trace_of(xs)
+    new_logs = {p: [rng.randint(0, 1) for _ in lg]
+                for p, lg in collect_logs(trace).items() if rng.random() < 0.5}
+    assert flip_and_rebuild(trace, new_logs) == reconstruct(replace_logs(trace, new_logs))
+
+
 def test_depth_limited_traces_do_not_invert():
     # the cap drops child messages, so the books either fail to balance or
     # the rebuilt input is shorter than the real one

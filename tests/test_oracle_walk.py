@@ -140,6 +140,39 @@ def test_vacuous_verdict_says_so(capsys):
         "uniform: yes (each pattern ")
 
 
+class _HeadsMeansOne:
+    """A deliberately biased extractor: releases 1 for H and 0 for T."""
+
+    def __init__(self):
+        self.output = []
+
+    def feed(self, symbols):
+        self.output += [1 if x == "H" else 0 for x in symbols]
+
+    def clone(self):
+        twin = _HeadsMeansOne()
+        twin.output = list(self.output)
+        return twin
+
+
+def _biased_report() -> oracle.UniformityReport:
+    third = Fraction(1, 3)
+    moves = (("H", third), ("T", 1 - third))
+    masses, incomplete = oracle._enumerate(_HeadsMeansOne, moves, {"H": moves, "T": moves}, 3, 1)
+    return oracle.UniformityReport("coin", "p=1/3", 1, 3, None, masses, incomplete)
+
+
+def test_the_oracle_says_no_to_a_biased_extractor(capsys, monkeypatch):
+    report = _biased_report()
+    assert report.masses == {"0": Fraction(2, 3), "1": Fraction(1, 3)}
+    assert report.uniform is False
+    assert report.total == 1
+    assert report.to_text().endswith("uniform: NO")
+    monkeypatch.setattr(oracle, "verify_coin", lambda *args: report)
+    assert main(["verify", "--mode", "coin", "--p", "1/3", "--n-max", "3", "--bits", "1"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("uniform: NO")
+
+
 DEEP = 3000  # well past the interpreter's default recursion limit of 1000
 
 
