@@ -316,6 +316,19 @@ def _refuse_input_as_output(stream, paths, parser: _Parser) -> None:
             parser.error(f"{path!r} is the input file; write the output elsewhere")
 
 
+def _refuse_shared_output(out, stats_file, parser: _Parser) -> None:
+    """End with a configuration error (exit 4) when the opened ``--output``
+    and ``--stats-file`` handles are one regular file, by whatever paths:
+    the statistics, written from offset 0 on a handle of their own, would
+    overwrite the bits."""
+    try:
+        a, b = os.fstat(out.fileno()), os.fstat(stats_file.fileno())
+    except (AttributeError, OSError, ValueError):  # no file descriptor behind one of them
+        return
+    if stat.S_ISREG(a.st_mode) and os.path.samestat(a, b):
+        parser.error("--output and --stats-file name the same file; write them to different files")
+
+
 def _build_extract_session(args, parser: _Parser, stream, order, m):
     """Returns (session, iterator of symbol batches, m_for_stats) for the
     ``order`` and ``m`` of :func:`_extract_config`.  With m None, the
@@ -363,6 +376,8 @@ def _cmd_extract(args, parser: _Parser) -> int:
         # may be the prescan in _build_extract_session
         out = sys.stdout.buffer if args.output == "-" else opened(args.output, "wb")
         stats_file = opened(args.stats_file, "w") if args.stats_file else None
+        if stats_file is not None:
+            _refuse_shared_output(out, stats_file, parser)
         session, batches, m = _build_extract_session(args, parser, stream, order, m)
 
         # read -> feed -> write: each batch's bits go out before the next read

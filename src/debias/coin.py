@@ -41,13 +41,18 @@ number of trees, each reached from its own root: a coin session is the
 one-tree case, and a dice or Markov session keeps all of its trees in one
 arena (see :mod:`debias.dice`), shown per tree through :class:`TreeView`.
 
-:meth:`CoinExtractor.feed` is the bulk entry point.  It drains an
-iterable with the session state in locals, handles the root inline (about
-half of all symbols touch only the root), and stops as soon as the output
-reaches a requested length.  ``feed`` is the only path that steps a coin,
-dice or Markov session: :meth:`Arena.process` is a one-item ``feed``, and
-:func:`take_bits` and the exact oracle of :mod:`debias.oracle` drive every
-session type in the package through ``feed``.
+One loop, :meth:`Arena._drive`, steps every coin, dice and Markov
+session.  It takes each item as a route, the tuple of ``(root, symbol
+code)`` deliveries the item makes: one fixed route per coin symbol, and
+one per face or (state, exit) pair, cached by the dice and Markov
+sessions.  It runs with the arena in locals, lets an empty root take its
+symbol without entering the cascade (about half of all coin symbols touch
+only the root), and stops as soon as the output reaches a requested
+length.  Each session's ``feed`` hands its items' routes to that loop, and
+``feed`` is the only path that steps a session: :meth:`Arena.process` is
+a one-item ``feed``, and :func:`take_bits` and the exact oracle of
+:mod:`debias.oracle` drive every session type in the package through
+``feed``.
 """
 
 from __future__ import annotations
@@ -132,18 +137,24 @@ class TraceNode(NamedTuple):
     right: TraceNode | None = None
 
     def walk(self, path: str = "") -> Iterator[tuple[str, TraceNode]]:
-        """Yield ``(path, node)`` preorder; paths are 'L'/'R' strings."""
-        yield path, self
-        if self.left is not None:
-            yield from self.left.walk(path + "L")
-        if self.right is not None:
-            yield from self.right.walk(path + "R")
+        """Yield ``(path, node)`` preorder; paths are 'L'/'R' strings.
+
+        The walk keeps its own stack, so a tree of any height is walked
+        without recursion.
+        """
+        stack = [(path, self)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            if node.right is not None:
+                stack.append((path + "R", node.right))
+            if node.left is not None:
+                stack.append((path + "L", node.left))
 
     @property
     def depth(self) -> int:
         """Height of this subtree (a lone node has depth 0)."""
-        kids = [c for c in (self.left, self.right) if c is not None]
-        return 1 + max(k.depth for k in kids) if kids else 0
+        return max(len(path) for path, _ in self.walk())
 
 
 def check_depth_limit(depth_limit) -> None:
@@ -171,8 +182,9 @@ class Session:
     with :meth:`feed`, the entry point of :func:`take_bits` and of
     :meth:`process_all`.  The base ``feed`` calls ``process`` once per
     item, for a subclass that defines ``process`` (the von Neumann
-    baseline).  The :class:`Arena` sessions override ``feed`` with loops
-    of their own, and get ``process`` as a one-item ``feed``.
+    baseline).  The :class:`Arena` sessions override ``feed`` to hand
+    their items' routes to :meth:`Arena._drive`, and get ``process`` as a
+    one-item ``feed``.
     """
 
     output: list[int]
@@ -214,8 +226,14 @@ class Arena(Session):
     released ``output[j]``.  The nodes of different trees interleave in the
     lists.
 
-    A subclass steps its trees only in its own ``feed``; :meth:`process`
-    is the one-item form of it for every subclass.
+    A tree fed only ``T`` never completes an unequal pair, so it releases
+    nothing and is fully described by the number of symbols it was fed.
+    Such a tree holds no node: it is a count ``_count[c]``, reached through
+    the negative root ``~c``, and :func:`counter_tree` builds its snapshot.
+
+    :meth:`_drive` is the one loop that steps every subclass, and ``_fed``
+    counts the items it consumed.  :meth:`process` is the one-item form of
+    a subclass's ``feed``.
     """
 
     def __init__(self, depth_limit: int | None) -> None:
@@ -227,6 +245,8 @@ class Arena(Session):
         self._kids: list[int] = []
         self._depth: list[int] = []
         self._src: list[int] = []
+        self._count: list[int] = []
+        self._fed = 0
 
     def _new_root(self) -> int:
         """Allocate an empty tree; return the index of its root."""
@@ -236,6 +256,12 @@ class Arena(Session):
         self._depth.append(0)
         return i
 
+    def _new_counter(self) -> int:
+        """Allocate a tree that is only ever fed ``T``; return its root."""
+        c = len(self._count)
+        self._count.append(0)
+        return ~c
+
     def process(self, item) -> StepResult:
         """Consume one item through ``feed``; return the bits it released
         and the number of node deliveries it made."""
@@ -243,41 +269,82 @@ class Arena(Session):
         self.feed((item,))
         return StepResult(self.output[n0:], self.messages_total - m0)
 
-    def _cascade(self, i: int, y: int) -> int:
-        """Deliver symbol code ``y`` to node ``i``, then every message that
-        delivery forwards, depth first and left before right.  Returns the
-        number of deliveries made."""
-        label, kids, out, src = self._label, self._kids, self.output, self._src
-        pending: list[int] = []  # right-child deliveries as flat (node, symbol) pairs
-        n = 0
-        while True:
-            n += 1
-            held = label[i]
-            if held == 0 or held > 2:  # no pair completed: release any held bit, hold y
-                if held:
-                    out.append(held - 3)
-                    src.append(i)
-                label[i] = y
-            else:
-                k = kids[i]
-                if k == _NO_CHILDREN:
-                    k = self._grow(i)
-                if held == y:  # equal pair: parity T to the left, y to the right
-                    label[i] = 0
-                    if k > 0:
-                        pending.append(k + 1)
-                        pending.append(y)
-                        i, y = k, 2
+    def _drive(self, routes: Iterable[tuple[tuple[int, int], ...]], until: int | None) -> int:
+        """Make the deliveries of each route in ``routes`` in turn until the
+        routes run out or ``len(output)`` reaches ``until``; return the
+        number of routes consumed.
+
+        A route is one item's tuple of ``(root, symbol code)`` deliveries,
+        made in order.  Each delivery runs with everything it forwards,
+        depth first and left before right: a right child's symbol waits on
+        a stack while the left subtree runs, unless the child is empty and
+        so takes it at once (an empty node releases and forwards nothing,
+        so the order cannot show).  The ``c``-th symbol fed to a counter
+        tree makes ``2 * min(c & -c, 2**depth_limit) - 1`` deliveries: it
+        reaches all ``2**j`` nodes of level ``j`` when ``2**j`` divides
+        ``c``, down to the cap.
+        """
+        out = self.output
+        stop = _UNBOUNDED if until is None else until
+        if len(out) >= stop:
+            return 0
+        label, kids, src, count, grow = self._label, self._kids, self._src, self._count, self._grow
+        cap = _UNBOUNDED if self.depth_limit is None else 1 << self.depth_limit
+        stack: list[int] = []  # waiting right-child deliveries as flat (node, symbol) pairs
+        n = sent = 0  # routes consumed; deliveries made
+        try:
+            for route in routes:
+                n += 1
+                for i, y in route:
+                    sent += 1
+                    if i < 0:  # a counter tree
+                        c = count[~i] = count[~i] + 1
+                        sent += 2 * min(c & -c, cap) - 2
                         continue
-                else:  # unequal pair: hold bit 1 for HT, 0 for TH; parity H to the left
-                    label[i] = 5 - held
-                    if k > 0:
-                        i, y = k, 1
+                    held = label[i]
+                    if not held:  # an empty root holds y; nothing else happens
+                        label[i] = y
                         continue
-            if not pending:
-                return n
-            y = pending.pop()
-            i = pending.pop()
+                    while True:  # deliver y to node i, which holds ``held``
+                        if held == 0 or held > 2:  # release any held bit, hold y
+                            if held:
+                                out.append(held - 3)
+                                src.append(i)
+                            label[i] = y
+                        else:
+                            k = kids[i]
+                            if k == _NO_CHILDREN:
+                                k = grow(i)
+                            if held == y:  # equal pair: parity T to the left, y to the right
+                                label[i] = 0
+                                if k > 0:
+                                    sent += 2
+                                    if label[k + 1]:
+                                        stack.append(k + 1)
+                                        stack.append(y)
+                                    else:
+                                        label[k + 1] = y
+                                    i, y = k, 2
+                                    held = label[i]
+                                    continue
+                            else:  # unequal pair: hold bit 1 for HT, 0 for TH; parity H to the left
+                                label[i] = 5 - held
+                                if k > 0:
+                                    sent += 1
+                                    i, y = k, 1
+                                    held = label[i]
+                                    continue
+                        if not stack:
+                            break
+                        y = stack.pop()
+                        i = stack.pop()
+                        held = label[i]
+                if len(out) >= stop:
+                    break
+        finally:
+            self._fed += n
+            self.messages_total += sent
+        return n
 
     def _grow(self, i: int) -> int:
         """Allocate node ``i``'s pair of children; return the left index."""
@@ -293,6 +360,8 @@ class Arena(Session):
 
     def _snapshot(self, root: int) -> TraceNode:
         """Immutable copy of the tree at ``root`` (labels plus bit logs)."""
+        if root < 0:
+            return counter_tree(self._count[~root], self.depth_limit)
         label, kids = self._label, self._kids
         logs: list[list[int]] = [[] for _ in label]
         for bit, i in zip(self.output, self._src):
@@ -311,7 +380,7 @@ class Arena(Session):
         """The bits released by the trees at ``roots``, in output order."""
         kids = self._kids
         nodes = set()
-        stack = list(roots)
+        stack = [r for r in roots if r >= 0]  # a counter tree releases nothing
         while stack:
             i = stack.pop()
             nodes.add(i)
@@ -332,7 +401,25 @@ class Arena(Session):
         dup._kids = self._kids.copy()
         dup._depth = self._depth.copy()
         dup._src = self._src.copy()
+        dup._count = self._count.copy()
+        dup._fed = self._fed
         return dup
+
+
+def counter_tree(fed: int, depth_limit: int | None) -> TraceNode:
+    """Snapshot of the tree that ``fed`` symbols ``T`` grow in a session
+    with the given depth cap.
+
+    Every pair such a tree completes is equal, so a node fed ``c`` symbols
+    holds ``T`` if ``c`` is odd and is empty otherwise, has released
+    nothing, and, below the cap, has two children fed ``c // 2`` each once
+    ``c >= 2``.  Both children are the same (immutable) node.
+    """
+    node = TraceNode(TAILS if fed & 1 else EMPTY, ())
+    if fed < 2 or depth_limit == 0:
+        return node
+    kid = counter_tree(fed // 2, None if depth_limit is None else depth_limit - 1)
+    return node._replace(left=kid, right=kid)
 
 
 class TreeView:
@@ -358,6 +445,23 @@ class TreeView:
         return self._arena._snapshot(self._root)
 
 
+# The routes of the two symbols: one delivery each, to the root at index 0.
+_HEADS_ROUTE = ((0, 1),)
+_TAILS_ROUTE = ((0, 2),)
+
+
+def _symbol_routes(symbols: Iterable[str]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The coin route of each symbol; ``ValueError`` at one that is not
+    ``H``/``T``."""
+    for s in symbols:
+        if s == HEADS:
+            yield _HEADS_ROUTE
+        elif s == TAILS:
+            yield _TAILS_ROUTE
+        else:
+            raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
+
+
 class CoinExtractor(Arena):
     """Incremental debiasing session over an ``H``/``T`` symbol stream.
 
@@ -372,8 +476,12 @@ class CoinExtractor(Arena):
 
     def __init__(self, depth_limit: int | None = None) -> None:
         super().__init__(depth_limit)
-        self.symbols_consumed = 0
         self._new_root()
+
+    @property
+    def symbols_consumed(self) -> int:
+        """Symbols consumed so far."""
+        return self._fed
 
     def feed(self, items: Iterable[str], until: int | None = None) -> int:
         """Consume symbols until ``items`` runs out or ``len(output)``
@@ -383,37 +491,7 @@ class CoinExtractor(Arena):
         symbol other than ``H``/``T`` raises ``ValueError`` and leaves the
         session as it was after the symbols before it.
         """
-        out, src, label = self.output, self._src, self._label
-        cascade = self._cascade
-        stop = _UNBOUNDED if until is None else until
-        if len(out) >= stop:
-            return 0
-        n = extra = 0  # symbols consumed; deliveries beyond one per symbol
-        try:
-            for s in items:
-                if s == HEADS:
-                    y = 1
-                elif s == TAILS:
-                    y = 2
-                else:
-                    raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
-                n += 1
-                held = label[0]
-                if held == 0:
-                    label[0] = y
-                    continue
-                if held > 2:  # release the root's held bit, then hold y
-                    out.append(held - 3)
-                    src.append(0)
-                    label[0] = y
-                else:  # y completes a pair at the root
-                    extra += cascade(0, y) - 1
-                if len(out) >= stop:
-                    break
-        finally:
-            self.symbols_consumed += n
-            self.messages_total += n + extra
-        return n
+        return self._drive(_symbol_routes(items), until)
 
     def snapshot(self) -> TraceNode:
         """Immutable copy of the current tree (labels plus bit logs)."""
@@ -421,9 +499,7 @@ class CoinExtractor(Arena):
 
     def clone(self) -> CoinExtractor:
         """Independent deep copy; processing one never affects the other."""
-        dup = self._copy()
-        dup.symbols_consumed = self.symbols_consumed
-        return dup
+        return self._copy()
 
 
 class SourceExhausted(Exception):

@@ -12,21 +12,33 @@ releases is appended to the shared output in that order.
 All trees of a session are roots of one :class:`debias.coin.Arena`.  For
 a die of width ``w``, the tree of bit position ``i`` is slot ``(1 << i) |
 (face >> (w - i))`` (a leading 1, then the word's first ``i`` bits), and
-that bit is delivered as symbol code 1 (``H``) or 2 (``T``).  A slot's
-root is allocated on its first delivery, through a dict keyed by slot.
+that bit is delivered as symbol code 1 (``H``) or 2 (``T``).  A face's
+deliveries are its route, a tuple of ``(root, symbol code)`` pairs that
+the session builds on the face's first use and caches; the arena's one
+delivery loop makes them.  Building a route allocates the root of each
+slot the face is the first to reach, so slots are allocated in the order
+of their first delivery, through a dict keyed by slot.
+
+Unless ``m`` is a power of two, some slots are fixed-bit: every face
+whose word starts with the slot's prefix has bit 0 next (slot ``H`` for
+``m = 3``, slots ``H`` and ``HT`` for ``m = 5``).  Such a tree is only
+ever fed ``T``, so it never releases a bit, and the arena keeps it as a
+count of the symbols fed to it, with no node (see
+:func:`debias.coin.counter_tree`).
+
 No H/T word is built on this path; :func:`binarize` and
 :func:`prefix_stream` are the string forms of the same slicing.
 ``DiceExtractor.trees`` is a read-only view, built on access, of each
-used slot's tree.  With ``m = 2`` the forest is a single tree and the
-session degenerates to :class:`debias.coin.CoinExtractor` with faces 1/0
-read as ``H``/``T``.
+used slot's tree, counters included.  With ``m = 2`` the forest is a
+single tree and the session degenerates to
+:class:`debias.coin.CoinExtractor` with faces 1/0 read as ``H``/``T``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .coin import _UNBOUNDED, HEADS, TAILS, Arena, TreeView
+from .coin import HEADS, TAILS, Arena, TreeView
 
 
 def face_width(m: int) -> int:
@@ -83,34 +95,30 @@ def _slot_prefix(slot: int) -> str:
     return bin(slot)[3:].replace("1", HEADS).replace("0", TAILS)
 
 
-def _deliver(session: Arena, base: int, face: int) -> int:
-    """Deliver the bits of ``face``, position 0 first, to the trees of a
-    dice or Markov session at slots ``base | slot``; return the number of
-    node deliveries made.
+def _route(session: Arena, base: int, face: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The deliveries of the bits of ``face``, one of ``m`` faces, position
+    0 first, to the trees of a dice or Markov session at slots ``base |
+    slot``: ``(root, symbol code)`` pairs for :meth:`Arena._drive`.
 
-    ``session._roots`` maps a slot to its root index and gains an entry on
-    a slot's first delivery; ``session.width`` is the word width.
+    ``session._roots`` maps a slot to its root and gains an entry, in
+    position order, for each slot the face is the first to reach.  A slot
+    whose faces all have the next bit 0 gets a counter tree, which holds no
+    node; ``session.width`` is the word width.
     """
-    label, roots = session._label, session._roots
-    n = 0
+    roots, w = session._roots, session.width
+    route = []
     slot = 1
-    for sh in range(session.width - 1, -1, -1):
-        bit = face >> sh & 1
+    for sh in range(w - 1, -1, -1):
         key = base | slot
         r = roots.get(key)
         if r is None:
-            r = roots[key] = session._new_root()
-        held = label[r]
-        if held == 0 or held > 2:  # no pair completed: release any held bit, hold the symbol
-            if held:
-                session.output.append(held - 3)
-                session._src.append(r)
-            label[r] = 2 - bit
-            n += 1
-        else:
-            n += session._cascade(r, 2 - bit)
+            first = (slot << sh + 1) - (1 << w)  # the smallest face with this slot's prefix
+            fixed = m <= first + (1 << sh)  # no face with the prefix has the next bit 1
+            r = roots[key] = session._new_counter() if fixed else session._new_root()
+        bit = face >> sh & 1
+        route.append((r, 2 - bit))
         slot = slot << 1 | bit
-    return n
+    return tuple(route)
 
 
 class DiceExtractor(Arena):
@@ -125,8 +133,13 @@ class DiceExtractor(Arena):
         self.m = m
         self.width = face_width(m)
         super().__init__(depth_limit)
-        self.faces_consumed = 0
         self._roots: dict[int, int] = {}  # slot -> root index
+        self._route_of: dict[int, tuple] = {}  # face -> its route
+
+    @property
+    def faces_consumed(self) -> int:
+        """Faces consumed so far."""
+        return self._fed
 
     @property
     def trees(self) -> dict[str, TreeView]:
@@ -140,30 +153,25 @@ class DiceExtractor(Arena):
         face outside ``0..m-1`` (or a bool) raises ``ValueError`` and
         leaves the session as it was after the faces before it.
         """
-        out = self.output
-        stop = _UNBOUNDED if until is None else until
-        if len(out) >= stop:
-            return 0
-        m = self.m
-        n = messages = 0
-        try:
-            for face in faces:
-                if type(face) is not int or not 0 <= face < m:  # full check off the fast path
-                    _check_face(face, m)
-                n += 1
-                messages += _deliver(self, 0, face)
-                if len(out) >= stop:
-                    break
-        finally:
-            self.faces_consumed += n
-            self.messages_total += messages
-        return n
+        return self._drive(self._routes(faces), until)
+
+    def _routes(self, faces: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The route of each face, built on the face's first use; a face
+        outside ``0..m-1`` raises ``ValueError``."""
+        m, routes = self.m, self._route_of
+        for face in faces:
+            if type(face) is not int or not 0 <= face < m:  # full check off the fast path
+                _check_face(face, m)
+            route = routes.get(face)
+            if route is None:
+                route = routes[face] = _route(self, 0, face, m)
+            yield route
 
     def clone(self) -> DiceExtractor:
         """Independent copy; processing one never affects the other."""
         dup = self._copy()
         dup.m = self.m
         dup.width = self.width
-        dup.faces_consumed = self.faces_consumed
         dup._roots = self._roots.copy()
+        dup._route_of = self._route_of.copy()  # names only roots both copies have
         return dup

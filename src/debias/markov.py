@@ -16,18 +16,20 @@ correlated with its past.
 All forests of a session share one :class:`debias.coin.Arena`: state
 ``q`` uses the die slots of :mod:`debias.dice` offset by ``q << w``, ``w``
 being the word width, and each slot's root is allocated on its first
-delivery.  Nothing is sized by ``n_states``, so a large state space costs
-only what the walk visits.  ``pending`` maps each state left so far to
-its parked exit, and ``forests`` is a read-only view of the per-state
-forests, built on access.
+delivery.  The deliveries of one (state, exit) pair are a route cached on
+first use, and a fixed-bit slot of a state's forest is a counter with no
+node, as in a die session.  Nothing is sized by ``n_states``, so a large
+state space costs only what the walk visits.  ``pending`` maps each state
+left so far to its parked exit, and ``forests`` is a read-only view of
+the per-state forests, built on access.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .coin import _UNBOUNDED, Arena, TreeView
-from .dice import _deliver, _is_index, _slot_prefix, face_width
+from .coin import Arena, TreeView
+from .dice import _is_index, _route, _slot_prefix, face_width
 
 
 class UnknownState(Exception):
@@ -89,9 +91,9 @@ class MarkovExtractor(Arena):
         self.width = face_width(n_states)
         self.pending: dict[int, int] = {}
         self.last_state: int | None = None
-        self.symbols_consumed = 0
         self._roots: dict[int, int] = {}  # (state << width) | slot -> root index
         self._faces: dict[int, int] = {}  # state -> exits delivered to its forest
+        self._route_of: dict[int, tuple] = {}  # (state << width) | exit -> its route
 
     @property
     def forests(self) -> dict[int, ForestView]:
@@ -100,6 +102,11 @@ class MarkovExtractor(Arena):
         for key, r in self._roots.items():
             by_state.setdefault(key >> w, {})[key & ((1 << w) - 1)] = r
         return {q: ForestView(self, self._faces[q], slots) for q, slots in by_state.items()}
+
+    @property
+    def symbols_consumed(self) -> int:
+        """Steps of the walk consumed so far."""
+        return self._fed
 
     def feed(self, states: Iterable[int], until: int | None = None) -> int:
         """Consume steps of the walk until ``states`` runs out or
@@ -110,37 +117,34 @@ class MarkovExtractor(Arena):
         :class:`UnknownState` and leaves the session as it was after the
         states before it.
         """
-        out = self.output
-        stop = _UNBOUNDED if until is None else until
-        if len(out) >= stop:
-            return 0
-        pending, faces = self.pending, self._faces
+        return self._drive(self._routes(states), until)
+
+    def _routes(self, states: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+        """Per step, the route of the parked exit it delivers, or an empty
+        route; ``pending`` and ``last_state`` move on before each yield.
+        An unknown state raises :class:`UnknownState`."""
+        pending, faces, routes = self.pending, self._faces, self._route_of
         n_states, w = self.n_states, self.width
-        last = self.last_state
-        n = messages = 0
-        try:
-            for state in states:
-                if type(state) is not int or not 0 <= state < n_states:  # off the fast path
-                    if not _is_index(state, n_states):
-                        raise UnknownState(state, n_states)
-                n += 1
-                prev, last = last, state
-                if prev is None:
-                    continue
-                parked = pending.get(prev)
-                pending[prev] = state
-                if parked is None:  # first exit from prev: park it, deliver nothing
-                    faces[prev] = 0
-                    continue
-                faces[prev] += 1
-                messages += _deliver(self, prev << w, parked)
-                if len(out) >= stop:
-                    break
-        finally:
-            self.last_state = last
-            self.symbols_consumed += n
-            self.messages_total += messages
-        return n
+        for state in states:
+            if type(state) is not int or not 0 <= state < n_states:  # off the fast path
+                if not _is_index(state, n_states):
+                    raise UnknownState(state, n_states)
+            prev, self.last_state = self.last_state, state
+            if prev is None:
+                yield ()
+                continue
+            parked = pending.get(prev)
+            pending[prev] = state
+            if parked is None:  # first exit from prev: park it, deliver nothing
+                faces[prev] = 0
+                yield ()
+                continue
+            faces[prev] += 1
+            key = prev << w | parked
+            route = routes.get(key)
+            if route is None:
+                route = routes[key] = _route(self, prev << w, parked, n_states)
+            yield route
 
     def clone(self) -> MarkovExtractor:
         """Independent copy; processing one never affects the other."""
@@ -149,7 +153,7 @@ class MarkovExtractor(Arena):
         dup.width = self.width
         dup.pending = self.pending.copy()
         dup.last_state = self.last_state
-        dup.symbols_consumed = self.symbols_consumed
         dup._roots = self._roots.copy()
         dup._faces = self._faces.copy()
+        dup._route_of = self._route_of.copy()  # names only roots both copies have
         return dup

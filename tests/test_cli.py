@@ -584,6 +584,26 @@ def test_output_naming_the_input_is_config_error(flag, alias, tmp_path, capsys, 
     assert source.read_bytes() == b"HTTTHT\n"
 
 
+@pytest.mark.parametrize("alias", ["same-path", "symlink", "new-file"])
+def test_output_and_stats_file_naming_one_file_is_config_error(alias, coin_file, tmp_path, capsys):
+    dest = tmp_path / "o.txt"
+    if alias != "new-file":
+        dest.write_text("earlier output\n")
+    stats = dest
+    if alias == "symlink":
+        stats = tmp_path / "link.txt"
+        stats.symlink_to(dest)
+    code, out, err = run_cli(
+        ["extract", "--mode", "coin", "--input", coin_file, "--output", str(dest),
+         "--stats-file", str(stats)],
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("debias: error: ") and "same file" in err
+    assert "output_bits" not in dest.read_text()
+
+
 def test_output_naming_another_file_is_written(coin_file, tmp_path, capsys):
     dest = tmp_path / "bits.txt"
     stats = tmp_path / "stats.json"

@@ -100,6 +100,16 @@ def test_tracenode_walk_and_depth():
     assert trace.depth == max(len(path) for path, _ in trace.walk())
 
 
+def test_tracenode_walk_needs_no_recursion():
+    chain = leaf = TraceNode("-", ())
+    for _ in range(5000):  # far past the interpreter's recursion limit
+        chain = TraceNode("T", (), left=chain)
+    walked = list(chain.walk())
+    assert [path for path, _ in walked] == ["L" * d for d in range(5001)]
+    assert walked[0][1] is chain and walked[-1][1] is leaf
+    assert chain.depth == 5000
+
+
 def test_analyze_defaults_print_the_frozen_table(capsys):
     assert main(["analyze"]) == 0
     assert capsys.readouterr().out == ANALYZE_DEFAULT
