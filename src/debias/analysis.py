@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
@@ -125,13 +124,13 @@ class TableRow(NamedTuple):
     values: tuple[float, ...]
 
 
-def _table_columns(depths: Sequence[int], biases: Sequence[float]):
-    """Check every depth and bias before any work, then return them with one
-    pass of running totals per bias, down to the deepest finite depth."""
-    depths = [_check_depth(d) for d in depths]
+def _table_columns(depths: Sequence[int | None], biases: Sequence[float]):
+    """Check every bias before any work, then return them with one pass of
+    running totals per bias, down to the deepest finite depth of the
+    already checked ``depths``."""
     biases = [_check_bias(p) for p in biases]
     deepest = max((d for d in depths if d is not None), default=0)
-    return depths, biases, [_running_totals(p, deepest) for p in biases]
+    return biases, [_pass(p, deepest) for p in biases]
 
 
 def tosses_table(
@@ -141,7 +140,8 @@ def tosses_table(
 ) -> list[TableRow]:
     """Expected tosses per output bit, one row per depth, one column per
     bias; optionally ends with the unlimited-depth row ``1/H(p)``."""
-    depths, biases, columns = _table_columns(depths, biases)
+    depths = [_check_depth(d) for d in depths]
+    biases, columns = _table_columns(depths, biases)
     limit = tuple(_per_bit(entropy(p)) for p in biases)
     rows = [TableRow(d, limit if d is None else tuple(_per_bit(c[d][1]) for c in columns))
             for d in depths]
@@ -156,7 +156,8 @@ def time_table(
 ) -> list[TableRow]:
     """Expected node deliveries per input symbol, same layout as
     :func:`tosses_table` (no limit row)."""
-    depths, _, columns = _table_columns([_check_depth(d, finite=True) for d in depths], biases)
+    depths = [_check_depth(d, finite=True) for d in depths]
+    _, columns = _table_columns(depths, biases)
     return [TableRow(d, tuple(col[d][0] for col in columns)) for d in depths]
 
 
@@ -183,8 +184,7 @@ def table_csv(rows: Sequence[TableRow], biases: Sequence[float], value_column: s
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     """Analytic summary for one (bias, depth) configuration."""
 
     bias: float
@@ -214,8 +214,7 @@ def bernoulli_symbols(p: float, rng: random.Random) -> Iterator[str]:
         yield HEADS if rng.random() < p else TAILS
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Outcome of one seeded extraction run against its predictions."""
 
     bias: float

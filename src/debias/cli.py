@@ -361,13 +361,13 @@ def _cmd_extract(args, parser: _Parser) -> int:
     k, fmt = args.bits, args.output_format
     if k is not None and k < 0:
         parser.error("--bits must be nonnegative")
+    order, m = _extract_config(args, parser)  # options before any file is opened
     with contextlib.ExitStack() as files:
 
         def opened(path: str, mode: str):
             return files.enter_context(_open(path, mode, parser))
 
         stream = sys.stdin.buffer if args.input == "-" else opened(args.input, "rb")
-        order, m = _extract_config(args, parser)
         if m is None and not stream.seekable():
             parser.error(f"--mode {args.mode} on {args.input!r} needs --m "
                          "(the prescan cannot rewind a pipe)")
@@ -505,7 +505,7 @@ def _cmd_bench(args, parser: _Parser) -> int:
     if args.json:
         import json
 
-        payload = [run.__dict__ for run in runs]
+        payload = [run._asdict() for run in runs]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
     lines = [

@@ -26,12 +26,14 @@ logarithmically with the input length.
 
 The session stores the tree as flat int-coded lists (an arena), not as
 node objects.  Node ``i`` has a label code (the index into ``LABELS``:
-0 empty, 1 held ``H``, 2 held ``T``, 3 holding bit 0, 4 holding bit 1), a
-depth, and the index of its left child.  Children are allocated in pairs,
-so the right child is the next index, and unlimited depth needs no
-``2**depth`` index space.  Symbols are coded like the labels that hold
-them (``H`` -> 1, ``T`` -> 2).  Each output bit records the index of the
-node that released it; that is all :meth:`CoinExtractor.snapshot` needs
+0 empty, 1 held ``H``, 2 held ``T``, 3 holding bit 0, 4 holding bit 1)
+and a child slot: the index of its left child once its children exist,
+and ``-1 - room`` before, where ``room`` is the number of levels the depth
+cap still allows below the node.  Children are allocated in pairs, so the
+right child is the next index, and unlimited depth needs no ``2**depth``
+index space.  Symbols are coded like the labels that hold them (``H`` ->
+1, ``T`` -> 2).  Each output bit records the index of the node that
+released it; that is all :meth:`CoinExtractor.snapshot` needs
 to rebuild the per-node bit logs.  A delivery and everything it forwards
 run on an explicit stack, in the same depth-first, left-before-right
 order as the recursive definition.  ``H``/``T`` and the string labels
@@ -166,13 +168,13 @@ def check_depth_limit(depth_limit) -> None:
         raise ValueError(f"depth_limit must be None or a nonnegative int, got {depth_limit!r}")
 
 
-_UNBOUNDED = sys.maxsize  # ``until`` for a feed that runs to the end of its source
+_UNBOUNDED = sys.maxsize  # no bound: ``until`` of a feed to the end, room at unlimited depth
 
-# Left-child entries in the arena other than a child index.  The first node
-# of an arena is a root, and a root is never a child, so index 0 can mean
-# "not allocated yet".
-_NO_CHILDREN = 0
-_AT_CAP = -1  # the node sits at the depth cap and forwards nothing
+# The child slot of a node at the depth cap, which forwards nothing: no room
+# is left below it.  A smaller slot belongs to a node with room below it but
+# no children yet; a child index is positive, as the first node of an arena
+# is a root and a root is never a child.
+_AT_CAP = -1
 
 
 class Session:
@@ -220,11 +222,13 @@ class Arena(Session):
     """Base of the tree sessions: one set of int-coded node lists holding
     any number of trees, each reached from its own root.
 
-    Node ``i`` has a label code ``_label[i]``, a left-child index
-    ``_kids[i]`` (or ``_NO_CHILDREN`` / ``_AT_CAP``; the right child is the
-    next index) and a depth ``_depth[i]``.  ``_src[j]`` is the node that
-    released ``output[j]``.  The nodes of different trees interleave in the
-    lists.
+    Node ``i`` has a label code ``_label[i]`` and a child slot
+    ``_kids[i]``: the index of its left child (the right child is the next
+    index), or ``-1 - room`` while it has none, where ``room`` is the number
+    of levels the cap still allows below it (``sys.maxsize`` at unlimited
+    depth).  A node at the cap holds ``_AT_CAP``, room 0.  ``_src[j]`` is
+    the node that released ``output[j]``.  The nodes of different trees
+    interleave in the lists.
 
     A tree fed only ``T`` never completes an unequal pair, so it releases
     nothing and is fully described by the number of symbols it was fed.
@@ -243,7 +247,6 @@ class Arena(Session):
         self.messages_total = 0
         self._label: list[int] = []
         self._kids: list[int] = []
-        self._depth: list[int] = []
         self._src: list[int] = []
         self._count: list[int] = []
         self._fed = 0
@@ -252,8 +255,7 @@ class Arena(Session):
         """Allocate an empty tree; return the index of its root."""
         i = len(self._label)
         self._label.append(0)
-        self._kids.append(_AT_CAP if self.depth_limit == 0 else _NO_CHILDREN)
-        self._depth.append(0)
+        self._kids.append(-1 - (_UNBOUNDED if self.depth_limit is None else self.depth_limit))
         return i
 
     def _new_counter(self) -> int:
@@ -313,7 +315,7 @@ class Arena(Session):
                             label[i] = y
                         else:
                             k = kids[i]
-                            if k == _NO_CHILDREN:
+                            if k < _AT_CAP:
                                 k = grow(i)
                             if held == y:  # equal pair: parity T to the left, y to the right
                                 label[i] = 0
@@ -347,14 +349,12 @@ class Arena(Session):
         return n
 
     def _grow(self, i: int) -> int:
-        """Allocate node ``i``'s pair of children; return the left index."""
-        label, kids, depth = self._label, self._kids, self._depth
+        """Allocate node ``i``'s pair of children, one level less room each;
+        return the left index."""
+        label, kids = self._label, self._kids
         k = len(label)
-        d = depth[i] + 1
-        leaf = _AT_CAP if d == self.depth_limit else _NO_CHILDREN
         label += (0, 0)
-        kids += (leaf, leaf)
-        depth += (d, d)
+        kids += (kids[i] + 1, kids[i] + 1)
         kids[i] = k
         return k
 
@@ -399,7 +399,6 @@ class Arena(Session):
         dup.messages_total = self.messages_total
         dup._label = self._label.copy()
         dup._kids = self._kids.copy()
-        dup._depth = self._depth.copy()
         dup._src = self._src.copy()
         dup._count = self._count.copy()
         dup._fed = self._fed

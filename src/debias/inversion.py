@@ -79,9 +79,11 @@ def reconstruct(trace: TraceNode) -> str:
 def _node_history(node: TraceNode, path: str, logs: Mapping[str, tuple[int, ...]]) -> str:
     if node.label not in LABELS:
         raise InconsistentTrace(path, f"unknown label {node.label!r}")
-    log = logs.get(path, node.bit_log)
-    if any(b not in (0, 1) for b in log):
-        raise InconsistentTrace(path, f"bit log contains non-bits: {log!r}")
+    log = logs.get(path)  # a substituted log, already checked by _checked_logs
+    if log is None:
+        log = node.bit_log
+        if any(b not in (0, 1) for b in log):
+            raise InconsistentTrace(path, f"bit log contains non-bits: {log!r}")
 
     # Every bit this node has decided: released ones, then a held one.
     decided = list(log)

@@ -30,9 +30,8 @@ each verifier caps both; pass ``force=True`` to exceed the cap deliberately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .coin import HEADS, TAILS, CoinExtractor
 from .dice import DiceExtractor, _is_index
@@ -56,8 +55,7 @@ class HorizonTooLarge(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(NamedTuple):
     """Exact output-mass accounting for one finite configuration.
 
     ``masses`` has an entry for every k-bit pattern (keys like ``'010'``),
@@ -69,7 +67,7 @@ class UniformityReport:
     k: int
     n_max: int
     depth_limit: int | None
-    masses: dict[str, Fraction] = field(compare=True)
+    masses: dict[str, Fraction]
     incomplete: Fraction = Fraction(0)
 
     @property

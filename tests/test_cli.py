@@ -391,6 +391,11 @@ def test_bench_deterministic_and_json(capsys):
     assert len(runs) == 2
     assert runs[0]["seed"] == 5 and runs[1]["seed"] == 6
     assert runs[0]["bits_requested"] == 2000
+    assert [list(run) for run in runs] == 2 * [[
+        "bias", "depth", "bits_requested", "seed", "symbols_consumed", "messages_total",
+        "tosses_per_bit", "messages_per_symbol", "expected_tosses_per_bit",
+        "expected_messages_per_symbol",
+    ]]
 
 
 def test_bench_rejects_bad_config(capsys):
@@ -563,6 +568,15 @@ def test_argument_error_leaves_output_untouched(argv, tmp_path, capsys, monkeypa
     assert err.startswith("debias: error: ") and "cannot open" not in err
     assert kept.read_text() == "earlier output\n"
     assert not stats.exists()
+
+
+def test_options_are_checked_before_the_input_is_opened(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["extract", "--mode", "coin", "--m", "7", "--input", str(tmp_path / "missing.txt")],
+        capsys,
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("debias: error: --m only applies to --mode dice or markov")
 
 
 @pytest.mark.parametrize("flag", ["--output", "--stats-file"])

@@ -1,4 +1,5 @@
-"""A fresh ``debias extract`` process imports only the modules it runs.
+"""A fresh ``debias extract`` process imports only the modules it runs,
+and no ``debias`` command loads ``dataclasses`` or ``inspect``.
 
 Each case runs the CLI in a child process and compares its ``sys.modules``
 with that of a bare interpreter in the same environment, so modules that
@@ -24,6 +25,15 @@ EXTRACT = (
 # that dataclasses and fractions pull in
 NEVER = {"debias.analysis", "debias.oracle", "debias.inversion",
          "dataclasses", "inspect", "fractions", "decimal"}
+# the other commands, with their own output kept off the module list
+QUIET = (
+    "import io, sys\n"
+    "from debias.cli import main\n"
+    "real, sys.stdout = sys.stdout, io.StringIO()\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout = real\n" + LIST_MODULES + "sys.exit(code)\n"
+)
+RECORDS = {"dataclasses", "inspect"}
 INPUTS = {"coin": "HTTTHT\n", "vonneumann": "HTTTHT\n",
           "dice": "0 1 2 1 1 2 2 1 0\n", "markov": "0 1 0 0 1 0 1 1 0\n"}
 
@@ -66,3 +76,18 @@ def test_extract_loads_only_what_it_runs(mode, stats, package, bare, tmp_path):
         assert "json" in loaded
     else:
         assert "json" not in new
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--depths", "3,7", "--ps", "0.3"],
+        ["verify", "--mode", "coin", "--p", "1/3", "--n-max", "6", "--bits", "2"],
+        ["bench", "--p", "0.3", "--depth", "3", "--bits", "50", "--trials", "2", "--json"],
+    ],
+    ids=["analyze", "verify", "bench-json"],
+)
+def test_commands_load_no_record_machinery(argv, bare):
+    loaded = _modules(QUIET, *argv)
+    assert "debias.analysis" in loaded or "debias.oracle" in loaded
+    assert not (loaded - bare) & RECORDS

@@ -1,5 +1,6 @@
 """What the package promises its users: the lazily resolved exports, the
-``TraceNode`` value type, and the default ``debias analyze`` table."""
+``TraceNode`` value type, read-only reports, and the default ``debias
+analyze`` table."""
 
 import importlib
 
@@ -69,6 +70,24 @@ def test_tracenode_value_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != TraceNode("1", (0,))
     assert len({a, b, TraceNode("1", (0,))}) == 2
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: debias.efficiency_report(0.3, 4), "rate"),
+        (lambda: debias.simulate_efficiency(0.3, 4, 20, seed=1), "seed"),
+        (lambda: debias.verify_coin("1/3", 4, 1), "masses"),
+    ],
+    ids=["efficiency", "simulation", "uniformity"],
+)
+def test_reports_are_read_only(make, field):
+    report = make()
+    before = getattr(report, field)
+    for name in (field, "note"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    assert getattr(report, field) == before
 
 
 def test_tracenode_repr():
