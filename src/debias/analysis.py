@@ -78,16 +78,13 @@ def level_traffic(p: float, depth: int) -> list[tuple[float, float]]:
 
 @functools.lru_cache(maxsize=64)
 def _pass(p: float, depth: int) -> tuple[tuple[float, float], ...]:
-    return tuple(accumulate(level_traffic(p, depth), lambda a, b: (a[0] + b[0], a[1] + b[1])))
-
-
-def _running_totals(p: float, depth: int) -> tuple[tuple[float, float], ...]:
-    """Entry ``d``: (processing time, extraction rate) at depth limit ``d``.
-    Tables and single cells share this one sum, so they agree exactly.
+    """Entry ``d``: (processing time, extraction rate) at depth limit ``d``,
+    for an already checked bias and finite depth.  Tables and single cells
+    share this one sum, so they agree exactly.
 
     Kept per ``(p, depth)``, so the tosses and time tables on the same axes,
     or repeated trials of one configuration, make one pass per bias."""
-    return _pass(_check_bias(p), _check_depth(depth, finite=True))
+    return tuple(accumulate(level_traffic(p, depth), lambda a, b: (a[0] + b[0], a[1] + b[1])))
 
 
 def _per_bit(rate: float) -> float:
@@ -100,7 +97,7 @@ def extraction_rate(p: float, depth: int | None) -> float:
     p = _check_bias(p)
     if _check_depth(depth) is None:
         return entropy(p)
-    return _running_totals(p, depth)[-1][1]
+    return _pass(p, depth)[-1][1]
 
 
 def tosses_per_bit(p: float, depth: int | None) -> float:
@@ -114,7 +111,7 @@ def processing_time(p: float, depth: int) -> float:
     Always in ``[1, depth + 1]``.  Unlike the rate, this has no finite
     unlimited-depth value for every ``p``, so ``depth`` must be an int.
     """
-    return _running_totals(p, depth)[-1][0]
+    return _pass(_check_bias(p), _check_depth(depth, finite=True))[-1][0]
 
 
 class TableRow(NamedTuple):
@@ -196,10 +193,11 @@ class EfficiencyReport(NamedTuple):
 
 
 def efficiency_report(p: float, depth: int | None) -> EfficiencyReport:
-    rate = extraction_rate(p, depth)
+    p, depth = _check_bias(p), _check_depth(depth)
     h = entropy(p)
+    rate = h if depth is None else _pass(p, depth)[-1][1]
     return EfficiencyReport(
-        bias=float(p),
+        bias=p,
         depth=depth,
         rate=rate,
         tosses_per_bit=_per_bit(rate),
@@ -241,7 +239,7 @@ def simulate_efficiency(p: float, depth: int | None, k: int, seed: int = 0) -> S
     depth = _check_depth(depth)
     if not isinstance(k, int) or k <= 0:
         raise DomainError(f"k must be a positive int, got {k!r}")
-    time, rate = (None, entropy(p)) if depth is None else _running_totals(p, depth)[-1]
+    time, rate = (None, entropy(p)) if depth is None else _pass(p, depth)[-1]
     session = CoinExtractor(depth)
     _, n = take_bits(session, bernoulli_symbols(p, random.Random(seed)), k)
     return SimulationResult(

@@ -547,7 +547,8 @@ def build_parser() -> _Parser:
     px = sub.add_parser("extract", help="debias an input stream")
     px.add_argument("--mode", required=True, choices=("coin", "vonneumann", "dice", "markov"))
     px.add_argument("--depth", type=_parse_depth, default=15, metavar="D",
-                    help="recycling depth limit, or 'unlimited' (default 15)")
+                    help="recycling depth limit, or 'unlimited' (default 15); only a "
+                    "limit bounds memory, at 2^(D+1)-1 nodes per tree")
     px.add_argument("--m", type=int, help="alphabet size for dice/markov "
                     "(inferred by prescan for file input if omitted)")
     px.add_argument("--bits", type=int, metavar="K",

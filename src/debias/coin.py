@@ -21,8 +21,10 @@ eventual output.
 label rules (so it still converts held bits) but drops the messages that
 would go to its children.  ``depth_limit=0`` reduces the tree to the root,
 i.e. plain von Neumann extraction with the one-symbol release delay.
-Memory grows with the tree, which unlimited depth lets grow roughly
-logarithmically with the input length.
+Memory grows with the tree, and only a depth cap bounds it, at
+``2**(d+1) - 1`` nodes per tree for ``depth_limit=d``: at unlimited depth
+the height grows about logarithmically with the input length, but the
+node count grows almost linearly.
 
 The session stores the tree as flat int-coded lists (an arena), not as
 node objects.  Node ``i`` has a label code (the index into ``LABELS``:
@@ -43,18 +45,17 @@ number of trees, each reached from its own root: a coin session is the
 one-tree case, and a dice or Markov session keeps all of its trees in one
 arena (see :mod:`debias.dice`), shown per tree through :class:`TreeView`.
 
-One loop, :meth:`Arena._drive`, steps every coin, dice and Markov
+One loop, :meth:`Arena.feed`, steps every coin, dice and Markov
 session.  It takes each item as a route, the tuple of ``(root, symbol
-code)`` deliveries the item makes: one fixed route per coin symbol, and
-one per face or (state, exit) pair, cached by the dice and Markov
-sessions.  It runs with the arena in locals, lets an empty root take its
-symbol without entering the cascade (about half of all coin symbols touch
-only the root), and stops as soon as the output reaches a requested
-length.  Each session's ``feed`` hands its items' routes to that loop, and
-``feed`` is the only path that steps a session: :meth:`Arena.process` is
-a one-item ``feed``, and :func:`take_bits` and the exact oracle of
-:mod:`debias.oracle` drive every session type in the package through
-``feed``.
+code)`` deliveries the item makes, from the session class's ``_routes``:
+one fixed route per coin symbol, and one per face or (state, exit) pair,
+cached by the dice and Markov sessions.  It runs with the arena in locals,
+lets an empty root take its symbol without entering the cascade (about
+half of all coin symbols touch only the root), and stops as soon as the
+output reaches a requested length.  ``feed`` is the only path that steps
+a session: :meth:`Arena.process` is a one-item ``feed``, and
+:func:`take_bits` and the exact oracle of :mod:`debias.oracle` drive
+every session type in the package through ``feed``.
 """
 
 from __future__ import annotations
@@ -184,9 +185,8 @@ class Session:
     with :meth:`feed`, the entry point of :func:`take_bits` and of
     :meth:`process_all`.  The base ``feed`` calls ``process`` once per
     item, for a subclass that defines ``process`` (the von Neumann
-    baseline).  The :class:`Arena` sessions override ``feed`` to hand
-    their items' routes to :meth:`Arena._drive`, and get ``process`` as a
-    one-item ``feed``.
+    baseline).  The :class:`Arena` sessions override ``feed`` with the
+    one delivery loop, and get ``process`` as a one-item ``feed``.
     """
 
     output: list[int]
@@ -235,9 +235,9 @@ class Arena(Session):
     Such a tree holds no node: it is a count ``_count[c]``, reached through
     the negative root ``~c``, and :func:`counter_tree` builds its snapshot.
 
-    :meth:`_drive` is the one loop that steps every subclass, and ``_fed``
-    counts the items it consumed.  :meth:`process` is the one-item form of
-    a subclass's ``feed``.
+    :meth:`feed` is the one loop that steps every subclass, on the routes
+    of the subclass's ``_routes``, and ``_fed`` counts the items it
+    consumed.  :meth:`process` is a one-item ``feed``.
     """
 
     def __init__(self, depth_limit: int | None) -> None:
@@ -271,31 +271,35 @@ class Arena(Session):
         self.feed((item,))
         return StepResult(self.output[n0:], self.messages_total - m0)
 
-    def _drive(self, routes: Iterable[tuple[tuple[int, int], ...]], until: int | None) -> int:
-        """Make the deliveries of each route in ``routes`` in turn until the
-        routes run out or ``len(output)`` reaches ``until``; return the
-        number of routes consumed.
+    def feed(self, items: Iterable, until: int | None = None) -> int:
+        """Make the deliveries of each item in turn until ``items`` runs out
+        or ``len(output)`` reaches ``until``; return the number of items
+        consumed.
 
-        A route is one item's tuple of ``(root, symbol code)`` deliveries,
-        made in order.  Each delivery runs with everything it forwards,
+        ``self._routes(items)`` maps each item to its route, the tuple of
+        ``(root, symbol code)`` deliveries it makes, in order, and raises at
+        a bad item, which leaves the session as it was after the items
+        before it.  Each delivery runs with everything it forwards,
         depth first and left before right: a right child's symbol waits on
         a stack while the left subtree runs, unless the child is empty and
         so takes it at once (an empty node releases and forwards nothing,
         so the order cannot show).  The ``c``-th symbol fed to a counter
         tree makes ``2 * min(c & -c, 2**depth_limit) - 1`` deliveries: it
         reaches all ``2**j`` nodes of level ``j`` when ``2**j`` divides
-        ``c``, down to the cap.
+        ``c``, down to the cap.  A cap of ``sys.maxsize.bit_length()``
+        levels or more counts as none, as ``c & -c <= c`` never gets there.
         """
         out = self.output
         stop = _UNBOUNDED if until is None else until
         if len(out) >= stop:
             return 0
         label, kids, src, count, grow = self._label, self._kids, self._src, self._count, self._grow
-        cap = _UNBOUNDED if self.depth_limit is None else 1 << self.depth_limit
+        d = self.depth_limit
+        cap = _UNBOUNDED if d is None or d >= _UNBOUNDED.bit_length() else 1 << d
         stack: list[int] = []  # waiting right-child deliveries as flat (node, symbol) pairs
-        n = sent = 0  # routes consumed; deliveries made
+        n = sent = 0  # items consumed; deliveries made
         try:
-            for route in routes:
+            for route in self._routes(items):
                 n += 1
                 for i, y in route:
                     sent += 1
@@ -389,10 +393,11 @@ class Arena(Session):
                 stack += (k, k + 1)
         return [bit for bit, i in zip(self.output, self._src) if i in nodes]
 
-    def _copy(self):
-        """New session of the same class, made without ``__init__``, with a
-        copy of the output and the arena.  The subclass's ``clone`` copies
-        the attributes it adds."""
+    def clone(self):
+        """Independent deep copy; processing one never affects the other.
+
+        Made without ``__init__``: a subclass's ``clone`` extends this one
+        with copies of the attributes it adds."""
         dup = object.__new__(self.__class__)
         dup.depth_limit = self.depth_limit
         dup.output = self.output.copy()
@@ -449,25 +454,14 @@ _HEADS_ROUTE = ((0, 1),)
 _TAILS_ROUTE = ((0, 2),)
 
 
-def _symbol_routes(symbols: Iterable[str]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The coin route of each symbol; ``ValueError`` at one that is not
-    ``H``/``T``."""
-    for s in symbols:
-        if s == HEADS:
-            yield _HEADS_ROUTE
-        elif s == TAILS:
-            yield _TAILS_ROUTE
-        else:
-            raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
-
-
 class CoinExtractor(Arena):
     """Incremental debiasing session over an ``H``/``T`` symbol stream.
 
     Feed symbols with :meth:`feed` or :meth:`process`; released bits
     accumulate in ``output``.  The session is deterministic: the same
     symbol sequence always yields the same output, tree, and message
-    count, however it is split between calls.
+    count, however it is split between calls.  A symbol other than
+    ``H``/``T`` raises ``ValueError``.
 
     ``depth_limit=None`` means unlimited recycling depth.  The session is
     the one-tree case of :class:`Arena`, with its root at index 0.
@@ -482,23 +476,20 @@ class CoinExtractor(Arena):
         """Symbols consumed so far."""
         return self._fed
 
-    def feed(self, items: Iterable[str], until: int | None = None) -> int:
-        """Consume symbols until ``items`` runs out or ``len(output)``
-        reaches ``until``; return the number of symbols consumed.
-
-        Equivalent to calling :meth:`process` on each symbol in turn.  A
-        symbol other than ``H``/``T`` raises ``ValueError`` and leaves the
-        session as it was after the symbols before it.
-        """
-        return self._drive(_symbol_routes(items), until)
+    def _routes(self, symbols: Iterable[str]) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The route of each symbol; ``ValueError`` at one that is not
+        ``H``/``T``."""
+        for s in symbols:
+            if s == HEADS:
+                yield _HEADS_ROUTE
+            elif s == TAILS:
+                yield _TAILS_ROUTE
+            else:
+                raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
 
     def snapshot(self) -> TraceNode:
         """Immutable copy of the current tree (labels plus bit logs)."""
         return self._snapshot(0)
-
-    def clone(self) -> CoinExtractor:
-        """Independent deep copy; processing one never affects the other."""
-        return self._copy()
 
 
 class SourceExhausted(Exception):

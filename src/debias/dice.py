@@ -15,9 +15,10 @@ a die of width ``w``, the tree of bit position ``i`` is slot ``(1 << i) |
 that bit is delivered as symbol code 1 (``H``) or 2 (``T``).  A face's
 deliveries are its route, a tuple of ``(root, symbol code)`` pairs that
 the session builds on the face's first use and caches; the arena's one
-delivery loop makes them.  Building a route allocates the root of each
-slot the face is the first to reach, so slots are allocated in the order
-of their first delivery, through a dict keyed by slot.
+delivery loop, :meth:`debias.coin.Arena.feed`, makes them.  Building a
+route allocates the root of each slot the face is the first to reach, so
+slots are allocated in the order of their first delivery, through a dict
+keyed by slot.
 
 Unless ``m`` is a power of two, some slots are fixed-bit: every face
 whose word starts with the slot's prefix has bit 0 next (slot ``H`` for
@@ -98,7 +99,7 @@ def _slot_prefix(slot: int) -> str:
 def _route(session: Arena, base: int, face: int, m: int) -> tuple[tuple[int, int], ...]:
     """The deliveries of the bits of ``face``, one of ``m`` faces, position
     0 first, to the trees of a dice or Markov session at slots ``base |
-    slot``: ``(root, symbol code)`` pairs for :meth:`Arena._drive`.
+    slot``: ``(root, symbol code)`` pairs for :meth:`Arena.feed`.
 
     ``session._roots`` maps a slot to its root and gains an entry, in
     position order, for each slot the face is the first to reach.  A slot
@@ -126,7 +127,8 @@ class DiceExtractor(Arena):
 
     ``trees`` is a read-only view: the used forest slots, keyed by the
     H/T prefix they condition on (the root slot's key is the empty
-    string), in the order of their first delivery.
+    string), in the order of their first delivery.  A face outside
+    ``0..m-1`` (or a bool) raises ``ValueError``.
     """
 
     def __init__(self, m: int, depth_limit: int | None = None) -> None:
@@ -145,16 +147,6 @@ class DiceExtractor(Arena):
     def trees(self) -> dict[str, TreeView]:
         return {_slot_prefix(slot): TreeView(self, r) for slot, r in self._roots.items()}
 
-    def feed(self, faces: Iterable[int], until: int | None = None) -> int:
-        """Consume faces until ``faces`` runs out or ``len(output)``
-        reaches ``until``; return the number of faces consumed.
-
-        Equivalent to calling :meth:`process` on each face in turn.  A
-        face outside ``0..m-1`` (or a bool) raises ``ValueError`` and
-        leaves the session as it was after the faces before it.
-        """
-        return self._drive(self._routes(faces), until)
-
     def _routes(self, faces: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         """The route of each face, built on the face's first use; a face
         outside ``0..m-1`` raises ``ValueError``."""
@@ -169,7 +161,7 @@ class DiceExtractor(Arena):
 
     def clone(self) -> DiceExtractor:
         """Independent copy; processing one never affects the other."""
-        dup = self._copy()
+        dup = super().clone()
         dup.m = self.m
         dup.width = self.width
         dup._roots = self._roots.copy()

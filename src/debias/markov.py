@@ -80,7 +80,8 @@ class MarkovExtractor(Arena):
 
     The first state fed only records where the walk starts, and delivers
     nothing.  Each later state parks the new exit of the previous state
-    and delivers the exit that was already parked there, if any.
+    and delivers the exit that was already parked there, if any.  A state
+    outside ``0..n_states-1`` (or a bool) raises :class:`UnknownState`.
     """
 
     def __init__(self, n_states: int, depth_limit: int | None = None) -> None:
@@ -107,17 +108,6 @@ class MarkovExtractor(Arena):
     def symbols_consumed(self) -> int:
         """Steps of the walk consumed so far."""
         return self._fed
-
-    def feed(self, states: Iterable[int], until: int | None = None) -> int:
-        """Consume steps of the walk until ``states`` runs out or
-        ``len(output)`` reaches ``until``; return the number consumed.
-
-        Equivalent to calling :meth:`process` on each state in turn.  A
-        state outside ``0..n_states-1`` (or a bool) raises
-        :class:`UnknownState` and leaves the session as it was after the
-        states before it.
-        """
-        return self._drive(self._routes(states), until)
 
     def _routes(self, states: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         """Per step, the route of the parked exit it delivers, or an empty
@@ -148,7 +138,7 @@ class MarkovExtractor(Arena):
 
     def clone(self) -> MarkovExtractor:
         """Independent copy; processing one never affects the other."""
-        dup = self._copy()
+        dup = super().clone()
         dup.n_states = self.n_states
         dup.width = self.width
         dup.pending = self.pending.copy()

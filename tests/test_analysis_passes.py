@@ -71,21 +71,21 @@ def test_cold_warm_and_single_cells_agree(passes):
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.77])
 def test_every_prefix_of_a_pass_is_a_fresh_pass(passes, p):
-    deep = analysis._running_totals(p, 16)
+    deep = analysis._pass(p, 16)
     for d in range(17):
         analysis._pass.cache_clear()
-        assert analysis._running_totals(p, d) == deep[: d + 1]
+        assert analysis._pass(p, d) == deep[: d + 1]
     assert len(passes) == 18
 
 
 def test_results_cannot_be_changed_through_the_cache(passes):
-    totals = analysis._running_totals(0.3, 9)
+    totals = analysis._pass(0.3, 9)
     assert isinstance(totals, tuple)
     want = list(totals)
     rows = tosses_table(DEPTHS, BIASES)
     rows.clear()
     assert tosses_table(DEPTHS, BIASES)
-    assert list(analysis._running_totals(0.3, 9)) == want
+    assert list(analysis._pass(0.3, 9)) == want
     assert extraction_rate(0.3, 9) == want[9][1]
 
 

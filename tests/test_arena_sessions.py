@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_tree_reference as ref
-from debias.coin import SourceExhausted, take_bits
+from debias.coin import Arena, CoinExtractor, SourceExhausted, take_bits
 from debias.dice import DiceExtractor, binarize, prefix_stream
 from debias.markov import MarkovExtractor, UnknownState
 from debias.oracle import verify_markov
@@ -191,3 +191,26 @@ def test_markov_clone_is_independent():
     forked = MarkovExtractor(4, depth_limit=3)
     forked.feed(walk[:200] + other)
     assert state(s) == state(forked)
+
+
+def test_one_feed_and_one_clone_serve_every_arena_session():
+    assert CoinExtractor.feed is DiceExtractor.feed is MarkovExtractor.feed is Arena.feed
+    assert CoinExtractor.clone is Arena.clone
+
+
+@pytest.mark.parametrize("kind", ["coin", "dice", "markov"])
+def test_a_depth_past_any_tree_height_is_unlimited(kind):
+    # 2**62 levels are never reached, so the cap must cost nothing; a
+    # 3-sided die and a 3-state chain have counter trees, which read it
+    rng = random.Random(62)
+    if kind == "coin":
+        items = rng.choices("HT", [3, 7], k=3000)
+        make, seen = CoinExtractor, lambda s: (s.output, s.messages_total, s.snapshot())
+    else:
+        items = rng.choices(range(3), [5, 3, 2], k=3000)
+        new = SESSIONS[kind][0]
+        make, seen = (lambda depth: new(3, depth)), state
+    deep, unlimited = make(2**62), make(None)
+    deep.feed(items)
+    unlimited.feed(items)
+    assert seen(deep) == seen(unlimited)

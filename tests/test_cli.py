@@ -40,6 +40,12 @@ def test_extract_coin_golden(coin_file, capsys):
     assert err == ""
 
 
+def test_extract_at_a_depth_past_any_tree_height(coin_file, capsys):
+    argv = ["extract", "--mode", "coin", "--input", coin_file, "--depth"]
+    unlimited = run_cli(argv + ["unlimited"], capsys)
+    assert run_cli(argv + [str(2**62)], capsys) == unlimited == (0, "11\n", "")
+
+
 def test_extract_accepts_lowercase_and_whitespace(tmp_path, capsys):
     f = tmp_path / "x.txt"
     f.write_text(" ht\tTt \n hT\n")
