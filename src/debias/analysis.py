@@ -237,7 +237,7 @@ def simulate_efficiency(p: float, depth: int | None, k: int, seed: int = 0) -> S
     """
     p = _check_bias(p, open_interval=True)
     depth = _check_depth(depth)
-    if not isinstance(k, int) or k <= 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
         raise DomainError(f"k must be a positive int, got {k!r}")
     time, rate = (None, entropy(p)) if depth is None else _pass(p, depth)[-1]
     session = CoinExtractor(depth)

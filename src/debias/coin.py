@@ -520,10 +520,12 @@ def take_bits(session: Session, source: Iterable, k: int | None) -> tuple[list[i
     returns everything it released.
 
     Returns ``(bits, items_consumed)``.  Raises :class:`SourceExhausted`
-    if the source ends first (partial bits attached).
+    if the source ends first (partial bits attached).  A ``k`` that is
+    not None or a nonnegative int (a bool included) raises
+    ``ValueError`` before any item is pulled.
     """
-    if k is not None and k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
+        raise ValueError(f"k must be None or a nonnegative int, got {k!r}")
     base = len(session.output)
     if k == 0:
         return [], 0

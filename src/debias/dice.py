@@ -12,13 +12,18 @@ releases is appended to the shared output in that order.
 All trees of a session are roots of one :class:`debias.coin.Arena`.  For
 a die of width ``w``, the tree of bit position ``i`` is slot ``(1 << i) |
 (face >> (w - i))`` (a leading 1, then the word's first ``i`` bits), and
-that bit is delivered as symbol code 1 (``H``) or 2 (``T``).  A face's
-deliveries are its route, a tuple of ``(root, symbol code)`` pairs that
-the session builds on the face's first use and caches; the arena's one
-delivery loop, :meth:`debias.coin.Arena.feed`, makes them.  Building a
-route allocates the root of each slot the face is the first to reach, so
-slots are allocated in the order of their first delivery, through a dict
-keyed by slot.
+that bit is delivered as symbol code 1 (``H``) or 2 (``T``).  One arena
+can hold several forests of the same width: forest ``q`` keeps slot
+``s`` under the key ``q << w | s``.  A die session is forest 0; a
+:class:`debias.markov.MarkovExtractor` has one forest per state.  A
+face's deliveries are its route, a tuple of ``(root, symbol code)``
+pairs that the session builds on the face's first use and caches under
+``q << w | face``; the arena's one delivery loop,
+:meth:`debias.coin.Arena.feed`, makes them.  Building a route allocates
+the root of each slot the face is the first to reach, so slots are
+allocated in the order of their first delivery, through a dict keyed as
+above.  The slot layout, the route cache, the views and the copy of a
+forest are defined once, in the private base both sessions share.
 
 Unless ``m`` is a power of two, some slots are fixed-bit: every face
 whose word starts with the slot's prefix has bit 0 next (slot ``H`` for
@@ -96,33 +101,67 @@ def _slot_prefix(slot: int) -> str:
     return bin(slot)[3:].replace("1", HEADS).replace("0", TAILS)
 
 
-def _route(session: Arena, base: int, face: int, m: int) -> tuple[tuple[int, int], ...]:
-    """The deliveries of the bits of ``face``, one of ``m`` faces, position
-    0 first, to the trees of a dice or Markov session at slots ``base |
-    slot``: ``(root, symbol code)`` pairs for :meth:`Arena.feed`.
+class _Forests(Arena):
+    """Base of the dice and Markov sessions: die forests over faces
+    ``0..m-1`` on one arena, forest ``q`` at the keys ``base | slot`` with
+    ``base = q << width``.
 
-    ``session._roots`` maps a slot to its root and gains an entry, in
-    position order, for each slot the face is the first to reach.  A slot
-    whose faces all have the next bit 0 gets a counter tree, which holds no
-    node; ``session.width`` is the word width.
+    ``_roots`` maps each used key to its root, in the order of the slots'
+    first deliveries, and ``_route_of`` maps ``base | face`` to the face's
+    route in the forest at ``base``.
     """
-    roots, w = session._roots, session.width
-    route = []
-    slot = 1
-    for sh in range(w - 1, -1, -1):
-        key = base | slot
-        r = roots.get(key)
-        if r is None:
-            first = (slot << sh + 1) - (1 << w)  # the smallest face with this slot's prefix
-            fixed = m <= first + (1 << sh)  # no face with the prefix has the next bit 1
-            r = roots[key] = session._new_counter() if fixed else session._new_root()
-        bit = face >> sh & 1
-        route.append((r, 2 - bit))
-        slot = slot << 1 | bit
-    return tuple(route)
+
+    def __init__(self, m: int, depth_limit: int | None = None) -> None:
+        self.m = m
+        self.width = face_width(m)
+        super().__init__(depth_limit)
+        self._roots: dict[int, int] = {}  # base | slot -> root index
+        self._route_of: dict[int, tuple] = {}  # base | face -> its route
+
+    def _route(self, base: int, face: int) -> tuple[tuple[int, int], ...]:
+        """Build and cache the route of ``face`` in the forest at ``base``:
+        the ``(root, symbol code)`` deliveries of its bits, position 0
+        first, for :meth:`Arena.feed`.
+
+        Each slot the face is the first to reach gets its root here, a
+        counter tree if every face with the slot's prefix has the next bit
+        0, a node otherwise.
+        """
+        roots, m, w = self._roots, self.m, self.width
+        route = []
+        slot = 1
+        for sh in range(w - 1, -1, -1):
+            key = base | slot
+            r = roots.get(key)
+            if r is None:
+                first = (slot << sh + 1) - (1 << w)  # the smallest face with this slot's prefix
+                fixed = m <= first + (1 << sh)  # no face with the prefix has the next bit 1
+                r = roots[key] = self._new_counter() if fixed else self._new_root()
+            bit = face >> sh & 1
+            route.append((r, 2 - bit))
+            slot = slot << 1 | bit
+        return self._route_of.setdefault(base | face, tuple(route))
+
+    def _trees_by_forest(self) -> dict[int, dict[str, TreeView]]:
+        """Views of the used slots, grouped by forest ``q`` and keyed by
+        their ``H``/``T`` prefixes, in first-delivery order."""
+        w = self.width
+        forests: dict[int, dict[str, TreeView]] = {}
+        for key, r in self._roots.items():
+            forests.setdefault(key >> w, {})[_slot_prefix(key & (1 << w) - 1)] = TreeView(self, r)
+        return forests
+
+    def clone(self):
+        """Independent copy; processing one never affects the other."""
+        dup = super().clone()
+        dup.m = self.m
+        dup.width = self.width
+        dup._roots = self._roots.copy()
+        dup._route_of = self._route_of.copy()  # names only roots both copies have
+        return dup
 
 
-class DiceExtractor(Arena):
+class DiceExtractor(_Forests):
     """Incremental debiasing session over face values ``0..m-1``.
 
     ``trees`` is a read-only view: the used forest slots, keyed by the
@@ -131,13 +170,6 @@ class DiceExtractor(Arena):
     ``0..m-1`` (or a bool) raises ``ValueError``.
     """
 
-    def __init__(self, m: int, depth_limit: int | None = None) -> None:
-        self.m = m
-        self.width = face_width(m)
-        super().__init__(depth_limit)
-        self._roots: dict[int, int] = {}  # slot -> root index
-        self._route_of: dict[int, tuple] = {}  # face -> its route
-
     @property
     def faces_consumed(self) -> int:
         """Faces consumed so far."""
@@ -145,7 +177,7 @@ class DiceExtractor(Arena):
 
     @property
     def trees(self) -> dict[str, TreeView]:
-        return {_slot_prefix(slot): TreeView(self, r) for slot, r in self._roots.items()}
+        return self._trees_by_forest().get(0, {})
 
     def _routes(self, faces: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         """The route of each face, built on the face's first use; a face
@@ -156,14 +188,5 @@ class DiceExtractor(Arena):
                 _check_face(face, m)
             route = routes.get(face)
             if route is None:
-                route = routes[face] = _route(self, 0, face, m)
+                route = self._route(0, face)
             yield route
-
-    def clone(self) -> DiceExtractor:
-        """Independent copy; processing one never affects the other."""
-        dup = super().clone()
-        dup.m = self.m
-        dup.width = self.width
-        dup._roots = self._roots.copy()
-        dup._route_of = self._route_of.copy()  # names only roots both copies have
-        return dup

@@ -22,9 +22,13 @@ released bits exchangeable, and it is exposed as
 trace, reading each substituted log by its node path instead of copying
 the tree.
 
-Depth-limited traces discard child messages at the cap, so they are not
-invertible; feeding one in raises :class:`InconsistentTrace` wherever the
-books do not balance.
+Only unlimited-depth traces can be inverted.  A depth-limited trace
+discards the messages its capped nodes would have forwarded, and the
+rebuild cannot always tell: it raises :class:`InconsistentTrace` where
+the books do not balance, but a capped trace can also rebuild, with no
+error, into a shorter input that is wrong.  The snapshot of
+``CoinExtractor(0)`` fed ``HH`` rebuilds to ``''``, and so does that of
+``CoinExtractor(1)`` fed ``HHHH``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,15 @@ def reconstruct(trace: TraceNode) -> str:
     [1, 1]
     >>> reconstruct(s.snapshot())
     'HTTTHT'
+
+    Only such a snapshot can be inverted.  A depth-limited one may raise
+    :class:`InconsistentTrace`, or return a shorter, wrong input with no
+    error:
+
+    >>> capped = CoinExtractor(0); capped.process_all("HH")
+    []
+    >>> reconstruct(capped.snapshot())
+    ''
     """
     return _node_history(trace, "", {})
 

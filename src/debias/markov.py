@@ -13,15 +13,13 @@ the same role as the held-bit delay inside the coin extractor: it keeps
 every output prefix exactly uniform even though the walk's future is
 correlated with its past.
 
-All forests of a session share one :class:`debias.coin.Arena`: state
-``q`` uses the die slots of :mod:`debias.dice` offset by ``q << w``, ``w``
-being the word width, and each slot's root is allocated on its first
-delivery.  The deliveries of one (state, exit) pair are a route cached on
-first use, and a fixed-bit slot of a state's forest is a counter with no
-node, as in a die session.  Nothing is sized by ``n_states``, so a large
-state space costs only what the walk visits.  ``pending`` maps each state
-left so far to its parked exit, and ``forests`` is a read-only view of
-the per-state forests, built on access.
+All forests of a session share one arena: state ``q``'s forest is the
+die forest of :mod:`debias.dice` at base ``q << w``, ``w`` being the word
+width, so its slots, routes (one per state and exit), counter trees and
+views are those of a die session.  Nothing is sized by ``n_states``, so
+a large state space costs only what the walk visits.  ``pending`` maps
+each state left so far to its parked exit, and ``forests`` is a
+read-only view of the per-state forests, built on access.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .coin import Arena, TreeView
-from .dice import _is_index, _route, _slot_prefix, face_width
+from .dice import _Forests, _is_index
 
 
 class UnknownState(Exception):
@@ -58,20 +56,19 @@ class ForestView:
     and ``output`` holds the bits those trees released, in order.
     """
 
-    __slots__ = ("_arena", "_roots", "faces_consumed", "trees")
+    __slots__ = ("_arena", "faces_consumed", "trees")
 
-    def __init__(self, arena: Arena, faces_consumed: int, slots: dict[int, int]) -> None:
+    def __init__(self, arena: Arena, faces_consumed: int, trees: dict[str, TreeView]) -> None:
         self._arena = arena
-        self._roots = tuple(slots.values())
         self.faces_consumed = faces_consumed
-        self.trees = {_slot_prefix(slot): TreeView(arena, r) for slot, r in slots.items()}
+        self.trees = trees
 
     @property
     def output(self) -> list[int]:
-        return self._arena._released_by(self._roots)
+        return self._arena._released_by(t._root for t in self.trees.values())
 
 
-class MarkovExtractor(Arena):
+class MarkovExtractor(_Forests):
     """Incremental debiasing session over a walk on states ``0..n-1``.
 
     ``forests`` (a view of the per-state forests) and ``pending`` (the
@@ -87,22 +84,20 @@ class MarkovExtractor(Arena):
     def __init__(self, n_states: int, depth_limit: int | None = None) -> None:
         if not isinstance(n_states, int) or n_states < 2:
             raise ValueError(f"n_states must be an int >= 2, got {n_states!r}")
-        super().__init__(depth_limit)
-        self.n_states = n_states
-        self.width = face_width(n_states)
+        super().__init__(n_states, depth_limit)
         self.pending: dict[int, int] = {}
         self.last_state: int | None = None
-        self._roots: dict[int, int] = {}  # (state << width) | slot -> root index
         self._faces: dict[int, int] = {}  # state -> exits delivered to its forest
-        self._route_of: dict[int, tuple] = {}  # (state << width) | exit -> its route
+
+    @property
+    def n_states(self) -> int:
+        """States of the chain: ``m``, the faces of each state's die."""
+        return self.m
 
     @property
     def forests(self) -> dict[int, ForestView]:
-        w = self.width
-        by_state: dict[int, dict[int, int]] = {}
-        for key, r in self._roots.items():
-            by_state.setdefault(key >> w, {})[key & ((1 << w) - 1)] = r
-        return {q: ForestView(self, self._faces[q], slots) for q, slots in by_state.items()}
+        by_state = self._trees_by_forest()
+        return {q: ForestView(self, self._faces[q], trees) for q, trees in by_state.items()}
 
     @property
     def symbols_consumed(self) -> int:
@@ -114,7 +109,7 @@ class MarkovExtractor(Arena):
         route; ``pending`` and ``last_state`` move on before each yield.
         An unknown state raises :class:`UnknownState`."""
         pending, faces, routes = self.pending, self._faces, self._route_of
-        n_states, w = self.n_states, self.width
+        n_states, w = self.m, self.width
         for state in states:
             if type(state) is not int or not 0 <= state < n_states:  # off the fast path
                 if not _is_index(state, n_states):
@@ -130,20 +125,15 @@ class MarkovExtractor(Arena):
                 yield ()
                 continue
             faces[prev] += 1
-            key = prev << w | parked
-            route = routes.get(key)
+            route = routes.get(prev << w | parked)
             if route is None:
-                route = routes[key] = _route(self, prev << w, parked, n_states)
+                route = self._route(prev << w, parked)
             yield route
 
     def clone(self) -> MarkovExtractor:
         """Independent copy; processing one never affects the other."""
         dup = super().clone()
-        dup.n_states = self.n_states
-        dup.width = self.width
         dup.pending = self.pending.copy()
         dup.last_state = self.last_state
-        dup._roots = self._roots.copy()
         dup._faces = self._faces.copy()
-        dup._route_of = self._route_of.copy()  # names only roots both copies have
         return dup

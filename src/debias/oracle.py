@@ -128,10 +128,11 @@ def _as_probability(x, what: str) -> Fraction:
 
 
 def _check_counts(k: int, n_max: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive int, got {k!r}")
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive int, got {n_max!r}")
+    """Raise ``ValueError`` unless ``k`` and ``n_max`` are positive ints
+    (not bools)."""
+    for name, n in (("k", k), ("n_max", n_max)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"{name} must be a positive int, got {n!r}")
 
 
 def _check_size(branching: int, horizon: int, k: int, cap: int, force: bool) -> None:

@@ -178,3 +178,9 @@ def test_simulation_domain():
             simulate_efficiency(bad_p, 3, 100)
     with pytest.raises(DomainError):
         simulate_efficiency(0.3, 3, 0)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0])
+def test_simulation_count_is_an_int_not_a_bool(k):
+    with pytest.raises(DomainError, match="k must be a positive int"):
+        simulate_efficiency(0.3, 2, k)

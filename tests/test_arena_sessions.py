@@ -198,6 +198,18 @@ def test_one_feed_and_one_clone_serve_every_arena_session():
     assert CoinExtractor.clone is Arena.clone
 
 
+def test_dice_and_markov_share_one_die_forest():
+    # the first class both sessions inherit from holds the forest: slot
+    # layout, route cache and the copy of the forest fields
+    forests = next(c for c in DiceExtractor.__mro__ if c in MarkovExtractor.__mro__)
+    assert forests is not Arena
+    assert DiceExtractor._route is MarkovExtractor._route is forests._route
+    assert DiceExtractor.clone is forests.clone and "clone" in vars(forests)
+    markov_copies = MarkovExtractor.clone.__code__.co_names
+    assert not {"m", "width", "_roots", "_route_of"} & set(markov_copies)
+    assert not issubclass(MarkovExtractor, DiceExtractor)
+
+
 @pytest.mark.parametrize("kind", ["coin", "dice", "markov"])
 def test_a_depth_past_any_tree_height_is_unlimited(kind):
     # 2**62 levels are never reached, so the cap must cost nothing; a

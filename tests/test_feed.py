@@ -151,6 +151,18 @@ def test_take_bits_on_von_neumann():
     assert (exc.value.bits, exc.value.symbols_consumed) == ([1], 6)
 
 
+@pytest.mark.parametrize("k", [1.5, "2", True, False, -1])
+def test_take_bits_refuses_a_bad_count_before_pulling_an_item(k):
+    s = CoinExtractor(2)
+    s.feed("HTTH")
+    before = (s.output.copy(), s.messages_total, s.symbols_consumed, s.snapshot())
+    source = iter("HTHTHTHT")
+    with pytest.raises(ValueError, match="k must be"):
+        take_bits(s, source, k)
+    assert "".join(source) == "HTHTHTHT"
+    assert (s.output, s.messages_total, s.symbols_consumed, s.snapshot()) == before
+
+
 class _RefNode:
     def __init__(self, depth: int) -> None:
         self.label = EMPTY

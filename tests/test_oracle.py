@@ -135,6 +135,18 @@ def test_dice_validation():
         verify_dice((F(1),), 4, 1)
 
 
+@pytest.mark.parametrize("k, n_max", [(True, 4), (1, True), (1, False)])
+def test_counts_are_ints_not_bools(k, n_max):
+    name = "k" if type(k) is bool else "n_max"
+    chain = ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)))
+    with pytest.raises(ValueError, match=f"^{name} must be a positive int"):
+        verify_coin("1/3", n_max, k)
+    with pytest.raises(ValueError, match=f"^{name} must be a positive int"):
+        verify_dice((F(1, 3), F(2, 3)), n_max, k)
+    with pytest.raises(ValueError, match=f"^{name} must be a positive int"):
+        verify_markov(chain, 0, n_max, k)
+
+
 def test_horizon_guards():
     with pytest.raises(HorizonTooLarge):
         verify_coin(F(1, 2), 15, 1)
