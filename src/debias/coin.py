@@ -35,15 +35,17 @@ cap still allows below the node.  Children are allocated in pairs, so the
 right child is the next index, and unlimited depth needs no ``2**depth``
 index space.  Symbols are coded like the labels that hold them (``H`` ->
 1, ``T`` -> 2).  Each output bit records the index of the node that
-released it; that is all :meth:`CoinExtractor.snapshot` needs
-to rebuild the per-node bit logs.  A delivery and everything it forwards
-run on an explicit stack, in the same depth-first, left-before-right
-order as the recursive definition.  ``H``/``T`` and the string labels
-exist only at the edges: :func:`node_update`, :class:`TraceNode` and
-``snapshot()``.  The lists belong to :class:`Arena`, which holds any
-number of trees, each reached from its own root: a coin session is the
-one-tree case, and a dice or Markov session keeps all of its trees in one
-arena (see :mod:`debias.dice`), shown per tree through :class:`TreeView`.
+released it; that is all a snapshot needs to rebuild the per-node bit
+logs.  A delivery and everything it forwards run on an explicit stack, in
+the same depth-first, left-before-right order as the recursive
+definition.  ``H``/``T`` and the string labels exist only at the edges:
+:func:`node_update`, :class:`TraceNode` and ``snapshot()``.  The lists
+belong to :class:`Arena`, which holds any number of trees, each reached
+from its own root: a coin session is the one-tree case, and a dice or
+Markov session keeps all of its trees in one arena (see
+:mod:`debias.dice`).  One reader makes every snapshot and
+:class:`TreeView`: it reads every tree of the arena in one pass, in time
+linear in the nodes plus the released bits.
 
 One loop, :meth:`Arena.feed`, steps every coin, dice and Markov
 session.  It takes each item as a route, the tuple of ``(root, symbol
@@ -182,34 +184,14 @@ class Session:
     """Base for the extractor sessions in this package.
 
     A session keeps its released bits in ``output`` and consumes items
-    with :meth:`feed`, the entry point of :func:`take_bits` and of
-    :meth:`process_all`.  The base ``feed`` calls ``process`` once per
-    item, for a subclass that defines ``process`` (the von Neumann
-    baseline).  The :class:`Arena` sessions override ``feed`` with the
-    one delivery loop, and get ``process`` as a one-item ``feed``.
+    with ``feed(items, until=None)``, the entry point of :func:`take_bits`
+    and of :meth:`process_all`.  Each session class defines ``feed`` as one
+    loop over the items: :class:`Arena` has the one delivery loop of the
+    tree sessions, and the von Neumann baseline a loop of its own.  Both
+    get ``process`` as a one-item ``feed``.
     """
 
     output: list[int]
-
-    def feed(self, items: Iterable, until: int | None = None) -> int:
-        """Consume ``items`` in order until they run out or ``len(output)``
-        reaches ``until``; return the number of items consumed.
-
-        No item is pulled from ``items`` after the one that reaches the
-        target, and none at all if the output is already long enough.
-        """
-        out = self.output
-        stop = _UNBOUNDED if until is None else until
-        if len(out) >= stop:
-            return 0
-        process = self.process
-        n = 0
-        for item in items:
-            process(item)
-            n += 1
-            if len(out) >= stop:
-                break
-        return n
 
     def process_all(self, items: Iterable) -> list[int]:
         """Consume a whole sequence; return the bits it released."""
@@ -362,36 +344,42 @@ class Arena(Session):
         kids[i] = k
         return k
 
-    def _snapshot(self, root: int) -> TraceNode:
-        """Immutable copy of the tree at ``root`` (labels plus bit logs)."""
-        if root < 0:
-            return counter_tree(self._count[~root], self.depth_limit)
+    def _read(self, forests: Sequence[Sequence[int]]) -> list[tuple[list[int], list[TreeView]]]:
+        """Read the trees at ``forests``, lists of roots that together hold
+        every root: per forest, the bits its trees released, in output
+        order, and the view of each tree.
+
+        The one reader of ``_src``: a pass over the nodes marks each node's
+        tree (children come after their parent), one over ``output`` fills
+        the bit logs, and one back over the nodes builds the trace nodes.
+        """
         label, kids = self._label, self._kids
-        logs: list[list[int]] = [[] for _ in label]
+        roots = [r for f in forests for r in f]
+        n = len(roots)
+        home = [q for q, f in enumerate(forests, n) for _ in f]  # tree -> its forest's bits list
+        tree = [0] * len(kids)
+        for t, r in enumerate(roots):
+            if r >= 0:
+                tree[r] = t
+        for i, k in enumerate(kids):
+            if k > 0:
+                tree[k] = tree[k + 1] = tree[i]
+        logs: list[list[int]] = [[] for _ in kids]
+        bits: list[list[int]] = [[] for _ in range(n + len(forests))]  # per tree, then per forest
         for bit, i in zip(self.output, self._src):
             logs[i].append(bit)
-
-        def build(i: int) -> TraceNode:
+            t = tree[i]
+            bits[t].append(bit)
+            bits[home[t]].append(bit)
+        nodes: list = [None] * len(kids)
+        for i in range(len(kids) - 1, -1, -1):
             k = kids[i]
-            left = right = None
-            if k > 0:
-                left, right = build(k), build(k + 1)
-            return TraceNode(LABELS[label[i]], tuple(logs[i]), left, right)
-
-        return build(root)
-
-    def _released_by(self, roots: Iterable[int]) -> list[int]:
-        """The bits released by the trees at ``roots``, in output order."""
-        kids = self._kids
-        nodes = set()
-        stack = [r for r in roots if r >= 0]  # a counter tree releases nothing
-        while stack:
-            i = stack.pop()
-            nodes.add(i)
-            k = kids[i]
-            if k > 0:
-                stack += (k, k + 1)
-        return [bit for bit, i in zip(self.output, self._src) if i in nodes]
+            nodes[i] = TraceNode(LABELS[label[i]], tuple(logs[i]), *(nodes[k : k + 2] if k > 0 else ()))
+        d, count = self.depth_limit, self._count
+        views = iter(
+            [TreeView(bits[t], nodes[r] if r >= 0 else counter_tree(count[~r], d)) for t, r in enumerate(roots)]
+        )
+        return [(bits[q], [next(views) for _ in f]) for q, f in enumerate(forests, n)]
 
     def clone(self):
         """Independent deep copy; processing one never affects the other.
@@ -426,27 +414,20 @@ def counter_tree(fed: int, depth_limit: int | None) -> TraceNode:
     return node._replace(left=kid, right=kid)
 
 
-class TreeView:
-    """Read-only view of one tree of an arena session, built on access.
+class TreeView(NamedTuple):
+    """One tree of an arena session, as one read of the session found it.
 
     ``output`` holds the bits the tree's nodes released, in order, and
-    :meth:`snapshot` its :class:`TraceNode`.  Both read the session's
-    current state and equal what a :class:`CoinExtractor` fed the tree's
-    own sub-stream reports.
+    ``tree`` (also returned by :meth:`snapshot`) its :class:`TraceNode`.
+    Both equal what a :class:`CoinExtractor` fed the tree's own sub-stream
+    reports, and keep their values however the session moves on.
     """
 
-    __slots__ = ("_arena", "_root")
-
-    def __init__(self, arena: Arena, root: int) -> None:
-        self._arena = arena
-        self._root = root
-
-    @property
-    def output(self) -> list[int]:
-        return self._arena._released_by((self._root,))
+    output: list[int]
+    tree: TraceNode
 
     def snapshot(self) -> TraceNode:
-        return self._arena._snapshot(self._root)
+        return self.tree
 
 
 # The routes of the two symbols: one delivery each, to the root at index 0.
@@ -489,7 +470,8 @@ class CoinExtractor(Arena):
 
     def snapshot(self) -> TraceNode:
         """Immutable copy of the current tree (labels plus bit logs)."""
-        return self._snapshot(0)
+        ((_, (view,)),) = self._read(((0,),))
+        return view.tree
 
 
 class SourceExhausted(Exception):

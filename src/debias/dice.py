@@ -34,9 +34,11 @@ count of the symbols fed to it, with no node (see
 
 No H/T word is built on this path; :func:`binarize` and
 :func:`prefix_stream` are the string forms of the same slicing.
-``DiceExtractor.trees`` is a read-only view, built on access, of each
-used slot's tree, counters included.  With ``m = 2`` the forest is a
-single tree and the session degenerates to
+``DiceExtractor.trees`` maps each used slot, counters included, to a
+:class:`debias.coin.TreeView`: each access reads every tree in one pass,
+in time linear in the nodes plus the released bits, into records that
+keep the values of that access.  With ``m = 2`` the forest is a single
+tree and the session degenerates to
 :class:`debias.coin.CoinExtractor` with faces 1/0 read as ``H``/``T``.
 """
 
@@ -142,14 +144,16 @@ class _Forests(Arena):
             slot = slot << 1 | bit
         return self._route_of.setdefault(base | face, tuple(route))
 
-    def _trees_by_forest(self) -> dict[int, dict[str, TreeView]]:
-        """Views of the used slots, grouped by forest ``q`` and keyed by
+    def _trees_by_forest(self) -> dict[int, tuple[list[int], dict[str, TreeView]]]:
+        """Per forest ``q``, from one read of the arena: the bits its trees
+        released, in output order, and the views of its used slots, keyed by
         their ``H``/``T`` prefixes, in first-delivery order."""
         w = self.width
-        forests: dict[int, dict[str, TreeView]] = {}
+        slots: dict[int, dict[str, int]] = {}
         for key, r in self._roots.items():
-            forests.setdefault(key >> w, {})[_slot_prefix(key & (1 << w) - 1)] = TreeView(self, r)
-        return forests
+            slots.setdefault(key >> w, {})[_slot_prefix(key & (1 << w) - 1)] = r
+        read = self._read([list(roots.values()) for roots in slots.values()])
+        return {q: (bits, dict(zip(roots, views))) for (q, roots), (bits, views) in zip(slots.items(), read)}
 
     def clone(self):
         """Independent copy; processing one never affects the other."""
@@ -164,10 +168,10 @@ class _Forests(Arena):
 class DiceExtractor(_Forests):
     """Incremental debiasing session over face values ``0..m-1``.
 
-    ``trees`` is a read-only view: the used forest slots, keyed by the
-    H/T prefix they condition on (the root slot's key is the empty
-    string), in the order of their first delivery.  A face outside
-    ``0..m-1`` (or a bool) raises ``ValueError``.
+    ``trees`` maps the used forest slots, keyed by the H/T prefix they
+    condition on (the root slot's key is the empty string), in the order
+    of their first delivery, to their views.  A face outside ``0..m-1``
+    (or a bool) raises ``ValueError``.
     """
 
     @property
@@ -177,7 +181,7 @@ class DiceExtractor(_Forests):
 
     @property
     def trees(self) -> dict[str, TreeView]:
-        return self._trees_by_forest().get(0, {})
+        return self._trees_by_forest().get(0, ([], {}))[1]
 
     def _routes(self, faces: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         """The route of each face, built on the face's first use; a face

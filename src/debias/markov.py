@@ -18,15 +18,17 @@ die forest of :mod:`debias.dice` at base ``q << w``, ``w`` being the word
 width, so its slots, routes (one per state and exit), counter trees and
 views are those of a die session.  Nothing is sized by ``n_states``, so
 a large state space costs only what the walk visits.  ``pending`` maps
-each state left so far to its parked exit, and ``forests`` is a
-read-only view of the per-state forests, built on access.
+each state left so far to its parked exit, and ``forests`` each state
+to a :class:`ForestView`: each access reads every tree in one pass, in
+time linear in the nodes plus the released bits, into records that keep
+the values of that access.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .coin import Arena, TreeView
+from .coin import TreeView
 from .dice import _Forests, _is_index
 
 
@@ -48,32 +50,25 @@ def exit_stream(states: Sequence[int], state: int) -> list[int]:
     return [states[j + 1] for j in range(len(states) - 1) if states[j] == state]
 
 
-class ForestView:
-    """Read-only view of one state's forest in a :class:`MarkovExtractor`.
+class ForestView(NamedTuple):
+    """One state's forest in a :class:`MarkovExtractor`, as one read found it.
 
     ``faces_consumed`` counts the exits delivered to it, ``trees`` maps
     each used slot's ``H``/``T`` prefix to a :class:`debias.coin.TreeView`,
     and ``output`` holds the bits those trees released, in order.
     """
 
-    __slots__ = ("_arena", "faces_consumed", "trees")
-
-    def __init__(self, arena: Arena, faces_consumed: int, trees: dict[str, TreeView]) -> None:
-        self._arena = arena
-        self.faces_consumed = faces_consumed
-        self.trees = trees
-
-    @property
-    def output(self) -> list[int]:
-        return self._arena._released_by(t._root for t in self.trees.values())
+    faces_consumed: int
+    trees: dict[str, TreeView]
+    output: list[int]
 
 
 class MarkovExtractor(_Forests):
     """Incremental debiasing session over a walk on states ``0..n-1``.
 
-    ``forests`` (a view of the per-state forests) and ``pending`` (the
-    parked exit per state) are exposed for inspection; states never
-    visited have no entry in either.
+    ``forests`` (the per-state forests) and ``pending`` (the parked exit
+    per state) are exposed for inspection; states never visited have no
+    entry in either.
 
     The first state fed only records where the walk starts, and delivers
     nothing.  Each later state parks the new exit of the previous state
@@ -97,7 +92,7 @@ class MarkovExtractor(_Forests):
     @property
     def forests(self) -> dict[int, ForestView]:
         by_state = self._trees_by_forest()
-        return {q: ForestView(self, self._faces[q], trees) for q, trees in by_state.items()}
+        return {q: ForestView(self._faces[q], trees, bits) for q, (bits, trees) in by_state.items()}
 
     @property
     def symbols_consumed(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coin import HEADS, TAILS, Session
+from .coin import _UNBOUNDED, HEADS, TAILS, Session
 
 
 class VonNeumannExtractor(Session):
@@ -21,20 +21,37 @@ class VonNeumannExtractor(Session):
         self.symbols_consumed = 0
         self._held: str | None = None
 
+    def feed(self, symbols: Iterable[str], until: int | None = None) -> int:
+        """Consume ``symbols`` until they run out or ``len(output)`` reaches
+        ``until``, pulling none after the one that reaches it; return the
+        number consumed.  A symbol other than ``H``/``T`` raises
+        ``ValueError``, with the symbols before it consumed."""
+        out, held, n = self.output, self._held, 0
+        stop = _UNBOUNDED if until is None else until
+        if len(out) >= stop:
+            return 0
+        try:
+            for s in symbols:
+                if s not in (HEADS, TAILS):
+                    raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
+                n += 1
+                if held is None:
+                    held = s
+                    continue
+                if held != s:
+                    out.append(1 if held == HEADS else 0)
+                held = None
+                if len(out) >= stop:
+                    break
+        finally:
+            self._held, self.symbols_consumed = held, self.symbols_consumed + n
+        return n
+
     def process(self, symbol: str) -> list[int]:
         """Consume one symbol; return the released bits ([] or one bit)."""
-        if symbol not in (HEADS, TAILS):
-            raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {symbol!r}")
-        self.symbols_consumed += 1
-        if self._held is None:
-            self._held = symbol
-            return []
-        first, self._held = self._held, None
-        if first == symbol:
-            return []
-        bit = 1 if first == HEADS else 0
-        self.output.append(bit)
-        return [bit]
+        n0 = len(self.output)
+        self.feed((symbol,))
+        return self.output[n0:]
 
 
 def von_neumann(symbols: Iterable[str]) -> list[int]:

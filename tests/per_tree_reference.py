@@ -4,19 +4,44 @@ arena sessions of :mod:`debias.dice` and :mod:`debias.markov`.
 ``DiceExtractor`` builds one :class:`debias.coin.CoinExtractor` per forest
 slot, keyed by the slot's H/T prefix, and feeds it one ``binarize``d
 symbol at a time.  ``MarkovExtractor`` builds one ``DiceExtractor`` per
-state.  Both drain through the per-item ``Session.feed``.  The class
-bodies are the package's implementation before the shared arena; only the
-imports differ.
+state.  Both drain through the per-item ``feed`` of ``PerItem``, which
+calls ``process`` once per item.  The class bodies are the package's
+implementation before the shared arena; only the imports and the base
+class differ.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from debias.coin import CoinExtractor, Session, StepResult, check_depth_limit
 from debias.dice import binarize, face_width
 from debias.markov import UnknownState
 
 
-class DiceExtractor(Session):
+class PerItem(Session):
+    """A session stepped one ``process`` call per item."""
+
+    def feed(self, items: Iterable, until: int | None = None) -> int:
+        """Consume ``items`` in order until they run out or ``len(output)``
+        reaches ``until``; return the number of items consumed.
+
+        No item is pulled from ``items`` after the one that reaches the
+        target, and none at all if the output is already long enough.
+        """
+        out = self.output
+        if until is not None and len(out) >= until:
+            return 0
+        n = 0
+        for item in items:
+            self.process(item)
+            n += 1
+            if until is not None and len(out) >= until:
+                break
+        return n
+
+
+class DiceExtractor(PerItem):
     """Incremental debiasing session over face values ``0..m-1``.
 
     Forest slots are created lazily, keyed by the H/T prefix they
@@ -59,7 +84,7 @@ class DiceExtractor(Session):
         return dup
 
 
-class MarkovExtractor(Session):
+class MarkovExtractor(PerItem):
     """Incremental debiasing session over a walk on states ``0..n-1``.
 
     ``forests`` (per-state die extractors) and ``pending`` (the parked

@@ -21,6 +21,11 @@ SESSIONS = {
 }
 
 
+def views(s):
+    """The view records of a dice or Markov session, as one access reads them."""
+    return s.forests if hasattr(s, "forests") else s.trees
+
+
 def trees(forest):
     """Per-slot snapshots and outputs, in slot order."""
     return [(p, t.snapshot(), t.output) for p, t in forest.trees.items()]
@@ -74,7 +79,7 @@ def test_matches_per_tree_reference_over_chunks_and_targets(case, data):
     pos = 0
     while pos < len(items):
         end = data.draw(st.integers(pos + 1, len(items)), label="chunk end")
-        how = data.draw(st.sampled_from(["feed", "process", "clone"]), label="how")
+        how = data.draw(st.sampled_from(["feed", "process", "clone", "views"]), label="how")
         if how == "process":
             for x in items[pos:end]:
                 assert new.process(x) == old.process(x)
@@ -83,6 +88,8 @@ def test_matches_per_tree_reference_over_chunks_and_targets(case, data):
             if how == "clone":
                 parent, frozen = new, state(new)
                 new = new.clone()
+            elif how == "views":
+                held, twin = views(new), new.clone()
             delta = data.draw(st.none() | st.integers(-2, 20), label="until - len(output)")
             until = None if delta is None else len(new.output) + delta
             chunk, ref_chunk = iter(items[pos:end]), iter(items[pos:end])
@@ -92,6 +99,8 @@ def test_matches_per_tree_reference_over_chunks_and_targets(case, data):
             assert list(chunk) == list(ref_chunk) == items[pos + n : end]
             if how == "clone":
                 assert state(parent) == frozen
+            elif how == "views":  # records keep the values of their read
+                assert held == views(twin)
             pos = pos + n if n else end  # a chunk fed to neither session is dropped
         assert state(new) == state(old)
 
@@ -191,6 +200,30 @@ def test_markov_clone_is_independent():
     forked = MarkovExtractor(4, depth_limit=3)
     forked.feed(walk[:200] + other)
     assert state(s) == state(forked)
+
+
+class CountingList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_every_view_comes_from_one_pass_over_the_owner_record():
+    rng = random.Random(8)
+    s = MarkovExtractor(4, 15)
+    s.feed(rng.choices(range(4), [4, 3, 2, 1], k=2000))
+    s.output = CountingList(s.output)
+    forests = s.forests
+    assert sum(len(f.trees) for f in forests.values()) >= 8
+    for f in forests.values():
+        assert len(f.output) == sum(len(t.output) for t in f.trees.values())
+        for t in f.trees.values():
+            assert t.snapshot().depth >= 0
+    assert s.output.passes == 1
 
 
 def test_one_feed_and_one_clone_serve_every_arena_session():
