@@ -21,7 +21,7 @@ import random
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
-from .coin import HEADS, TAILS, CoinExtractor, take_bits
+from .coin import HEADS, TAILS, CoinExtractor, _is_count, take_bits
 
 TABLE_DEPTHS = (0, 1, 2, 3, 4, 5, 7, 10, 15)
 TABLE_BIASES = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -32,18 +32,23 @@ class DomainError(ValueError):
 
 
 def _check_bias(p: float, open_interval: bool = False) -> float:
-    p = float(p)
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
+    """``p`` as a float in [0, 1], or in (0, 1) if ``open_interval``.  A bool,
+    or anything ``float()`` refuses, raises ``DomainError`` naming ``p``."""
+    try:
+        x = math.nan if isinstance(p, bool) else float(p)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not 0.0 <= x <= 1.0:  # nan included
         raise DomainError(f"bias must lie in [0, 1], got {p!r}")
-    if open_interval and p in (0.0, 1.0):
+    if open_interval and x in (0.0, 1.0):
         raise DomainError(f"bias must lie strictly inside (0, 1), got {p!r}")
-    return p
+    return x
 
 
 def _check_depth(depth: int | None, finite: bool = False) -> int | None:
     if depth is None and not finite:
         return None
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+    if not _is_count(depth):
         kinds = "a nonnegative int" if finite else "None or a nonnegative int"
         raise DomainError(f"depth must be {kinds}, got {depth!r}")
     return depth
@@ -237,7 +242,7 @@ def simulate_efficiency(p: float, depth: int | None, k: int, seed: int = 0) -> S
     """
     p = _check_bias(p, open_interval=True)
     depth = _check_depth(depth)
-    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+    if not _is_count(k, 1):
         raise DomainError(f"k must be a positive int, got {k!r}")
     time, rate = (None, entropy(p)) if depth is None else _pass(p, depth)[-1]
     session = CoinExtractor(depth)

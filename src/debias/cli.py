@@ -428,12 +428,9 @@ def _cmd_extract(args, parser: _Parser) -> int:
 def _cmd_analyze(args, parser: _Parser) -> int:
     from . import analysis
 
-    # the defaults are the axes of the frozen tables
-    depths = ",".join(map(str, analysis.TABLE_DEPTHS)) if args.depths is None else args.depths
-    biases = ",".join(map(str, analysis.TABLE_BIASES)) if args.ps is None else args.ps
-    try:
-        depths = [int(t) for t in depths.split(",")]
-        biases = [float(t) for t in biases.split(",")]
+    try:  # the defaults are the axes of the frozen tables
+        depths = analysis.TABLE_DEPTHS if args.depths is None else [int(t) for t in args.depths.split(",")]
+        biases = analysis.TABLE_BIASES if args.ps is None else [float(t) for t in args.ps.split(",")]
     except ValueError:
         parser.error("--depths and --ps must be comma-separated numbers")
     try:

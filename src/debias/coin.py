@@ -58,6 +58,15 @@ output reaches a requested length.  ``feed`` is the only path that steps
 a session: :meth:`Arena.process` is a one-item ``feed``, and
 :func:`take_bits` and the exact oracle of :mod:`debias.oracle` drive
 every session type in the package through ``feed``.
+
+Every count, index and depth cap that a session, :func:`take_bits`,
+:func:`extract_bits`, a verifier of :mod:`debias.oracle` or an analysis
+function takes (a depth limit, a bit count, a horizon, a die's ``m``, a
+face, a state) is an ``int`` and not a ``bool``, although ``bool``
+subclasses ``int``.  A bad one raises a ``ValueError`` (a
+:class:`debias.analysis.DomainError` in :mod:`debias.analysis`) before any
+work is done, and a bad item fed to a session raises a ``ValueError`` with
+the items before it consumed.
 """
 
 from __future__ import annotations
@@ -162,12 +171,17 @@ class TraceNode(NamedTuple):
         return max(len(path) for path, _ in self.walk())
 
 
+def _is_count(x: object, low: int = 0) -> bool:
+    """True for an int of at least ``low``.  Booleans are not counts,
+    although ``bool`` subclasses ``int``: the one rule for every count,
+    index and depth cap in the package."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
 def check_depth_limit(depth_limit) -> None:
     """Raise ``ValueError`` unless ``depth_limit`` is None or a nonnegative
-    int.  Booleans are rejected although ``bool`` subclasses ``int``."""
-    if depth_limit is not None and (
-        isinstance(depth_limit, bool) or not isinstance(depth_limit, int) or depth_limit < 0
-    ):
+    int (not a bool)."""
+    if depth_limit is not None and not _is_count(depth_limit):
         raise ValueError(f"depth_limit must be None or a nonnegative int, got {depth_limit!r}")
 
 
@@ -499,18 +513,17 @@ def take_bits(session: Session, source: Iterable, k: int | None) -> tuple[list[i
     lazily and stops as soon as the target is reached; the final item may
     release more than one bit, in which case the surplus stays in the
     session but is not returned.  ``k=None`` drains the whole source and
-    returns everything it released.
+    returns everything it released, and ``k=0`` pulls no item, as a
+    session's ``feed`` pulls none once its output is long enough.
 
     Returns ``(bits, items_consumed)``.  Raises :class:`SourceExhausted`
     if the source ends first (partial bits attached).  A ``k`` that is
     not None or a nonnegative int (a bool included) raises
     ``ValueError`` before any item is pulled.
     """
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
+    if k is not None and not _is_count(k):
         raise ValueError(f"k must be None or a nonnegative int, got {k!r}")
     base = len(session.output)
-    if k == 0:
-        return [], 0
     consumed = session.feed(source, None if k is None else base + k)
     bits = session.output[base:]
     if k is None:

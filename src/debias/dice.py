@@ -46,24 +46,18 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .coin import HEADS, TAILS, Arena, TreeView
+from .coin import HEADS, TAILS, Arena, TreeView, _is_count
 
 
 def face_width(m: int) -> int:
     """Bits needed to binarize faces ``0..m-1`` (``ceil(log2 m)``)."""
-    if not isinstance(m, int) or m < 2:
+    if not _is_count(m, 2):
         raise ValueError(f"m must be an int >= 2, got {m!r}")
     return (m - 1).bit_length()
 
 
-def _is_index(x: object, n: int) -> bool:
-    """True for an int in ``0..n-1``.  Booleans are not indices, although
-    ``bool`` subclasses ``int``."""
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
-
-
 def _check_face(face: object, m: int) -> None:
-    if not _is_index(face, m):
+    if not (_is_count(face) and face < m):
         raise ValueError(f"face must be an int in [0, {m}), got {face!r}")
 
 

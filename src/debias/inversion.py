@@ -29,6 +29,13 @@ the books do not balance, but a capped trace can also rebuild, with no
 error, into a shorter input that is wrong.  The snapshot of
 ``CoinExtractor(0)`` fed ``HH`` rebuilds to ``''``, and so does that of
 ``CoinExtractor(1)`` fed ``HHHH``.
+
+:func:`replace_logs` and :func:`flip_and_rebuild` check every
+replacement log before any node is copied or rebuilt, and each refusal is
+a ``ValueError``: an unknown path, a non-bit, or a wrong length
+(:class:`LengthMismatch`, a ``ValueError`` subclass).  A trace that no
+input can have produced raises :class:`InconsistentTrace` instead, which
+is not a ``ValueError``: the fault is in the trace, found by the rebuild.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ class InconsistentTrace(Exception):
         super().__init__(f"inconsistent trace at node {path or '<root>'}: {detail}")
 
 
-class LengthMismatch(Exception):
+class LengthMismatch(ValueError):
     """A replacement bit log does not match the original log's length."""
 
     def __init__(self, path: str, expected: int, got: int) -> None:
@@ -171,10 +178,10 @@ def replace_logs(trace: TraceNode, new_logs: Mapping[str, Sequence[int]]) -> Tra
     """Copy of the snapshot with some nodes' released bits substituted.
 
     ``new_logs`` maps node paths to replacement logs; unmentioned nodes
-    keep their bits.  Each replacement must match the original log's
-    length (:class:`LengthMismatch` otherwise); unknown paths raise
-    ``ValueError``.  Held bits live in labels, not logs, and are never
-    touched.
+    keep their bits.  Every refusal is a ``ValueError``: an unknown path,
+    a replacement holding a non-bit, or one whose length differs from the
+    original log's (:class:`LengthMismatch`).  Held bits live in labels,
+    not logs, and are never touched.
     """
     return _substitute(trace, "", _checked_logs(trace, new_logs))
 

@@ -22,18 +22,25 @@ each state left so far to its parked exit, and ``forests`` each state
 to a :class:`ForestView`: each access reads every tree in one pass, in
 time linear in the nodes plus the released bits, into records that keep
 the values of that access.
+
+``n_states`` and every state are ints, not bools, as every count and
+index in the package is.  A bad ``n_states`` or depth cap raises
+``ValueError`` at construction, and a state outside ``0..n_states-1``
+raises :class:`UnknownState`, a ``ValueError`` like a bad coin symbol or
+die face, with the states before it consumed.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .coin import TreeView
-from .dice import _Forests, _is_index
+from .coin import TreeView, _is_count
+from .dice import _Forests
 
 
-class UnknownState(Exception):
-    """A state index outside ``0..n_states-1`` was fed to the session."""
+class UnknownState(ValueError):
+    """A state index outside ``0..n_states-1`` (or a bool) was fed to the
+    session."""
 
     def __init__(self, state: object, n_states: int) -> None:
         self.state = state
@@ -77,7 +84,7 @@ class MarkovExtractor(_Forests):
     """
 
     def __init__(self, n_states: int, depth_limit: int | None = None) -> None:
-        if not isinstance(n_states, int) or n_states < 2:
+        if not _is_count(n_states, 2):
             raise ValueError(f"n_states must be an int >= 2, got {n_states!r}")
         super().__init__(n_states, depth_limit)
         self.pending: dict[int, int] = {}
@@ -107,7 +114,7 @@ class MarkovExtractor(_Forests):
         n_states, w = self.m, self.width
         for state in states:
             if type(state) is not int or not 0 <= state < n_states:  # off the fast path
-                if not _is_index(state, n_states):
+                if not (_is_count(state) and state < n_states):
                     raise UnknownState(state, n_states)
             prev, self.last_state = self.last_state, state
             if prev is None:

@@ -33,8 +33,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .coin import HEADS, TAILS, CoinExtractor
-from .dice import DiceExtractor, _is_index
+from .coin import HEADS, TAILS, CoinExtractor, _is_count
+from .dice import DiceExtractor
 from .markov import MarkovExtractor
 
 # Enumeration size guards on branching^horizon leaves and 2^k output patterns.
@@ -131,7 +131,7 @@ def _check_counts(k: int, n_max: int) -> None:
     """Raise ``ValueError`` unless ``k`` and ``n_max`` are positive ints
     (not bools)."""
     for name, n in (("k", k), ("n_max", n_max)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not _is_count(n, 1):
             raise ValueError(f"{name} must be a positive int, got {n!r}")
 
 
@@ -155,7 +155,12 @@ def _enumerate(
 ) -> tuple[dict[str, Fraction], Fraction]:
     """Walk every run of at most ``horizon`` moves, ``first_moves`` first and
     ``next_moves[x]`` after move ``x``; return each k-bit pattern's mass and
-    the incomplete mass."""
+    the incomplete mass.
+
+    The first session is made before anything is tabulated, so a session
+    that refuses its configuration (a bad depth cap) does so before the
+    ``2**k`` pattern table is built."""
+    root = make_session()
     den = math.lcm(*(pr.denominator for moves in (first_moves, *next_moves.values())
                      for _, pr in moves))
 
@@ -173,7 +178,7 @@ def _enumerate(
     # Depth-first with clone-on-branch.  Each open branch is a (session,
     # weight, moves, steps_left) entry on a list; its last move reuses the
     # session, so a straight-line walk allocates nothing extra.
-    branches = [(make_session(), 1, first, horizon)]
+    branches = [(root, 1, first, horizon)]
     while branches:
         session, weight, moves, steps_left = branches.pop()
         last = len(moves) - 1
@@ -255,7 +260,7 @@ def verify_markov(
             raise ValueError(f"matrix row {i} has {len(row)} entries, expected {m}")
         if sum(row) != 1:
             raise ValueError(f"matrix row {i} must sum to 1, got {sum(row)}")
-    if not _is_index(start, m):
+    if not (_is_count(start) and start < m):
         raise ValueError(f"start must be a state in 0..{m - 1}, got {start!r}")
     _check_counts(k, n_max)
     _check_size(m, n_max, k, MAX_MARKOV_LEAVES, force)

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 from itertools import islice
 from random import Random
 
@@ -15,6 +17,7 @@ from debias.analysis import (
     entropy,
     extraction_rate,
     format_table,
+    level_traffic,
     processing_time,
     simulate_efficiency,
     table_csv,
@@ -45,6 +48,32 @@ def test_bias_domain(bad):
         entropy(bad)
     with pytest.raises(DomainError):
         extraction_rate(bad, 3)
+
+
+@pytest.mark.parametrize("bad", [True, False, None, "abc", [0.3]], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        entropy,
+        lambda p: level_traffic(p, 2),
+        lambda p: extraction_rate(p, 2),
+        lambda p: efficiency_report(p, None),
+        lambda p: simulate_efficiency(p, 2, 4),
+    ],
+    ids=["entropy", "level_traffic", "extraction_rate", "efficiency_report", "simulate_efficiency"],
+)
+def test_a_bias_that_is_not_a_number_is_a_domain_error(call, bad):
+    with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+        call(bad)
+
+
+def test_numbers_and_numeric_strings_are_biases():
+    assert entropy("0.5") == entropy(Fraction(1, 2)) == 1.0
+    assert entropy(1) == entropy("0") == 0.0
+    assert level_traffic("0.3", 2) == level_traffic(0.3, 2)
+    assert efficiency_report(Fraction(3, 10), 4) == efficiency_report(0.3, 4)
+    with pytest.raises(DomainError, match=re.escape("got '1.5'")):
+        entropy("1.5")
 
 
 @pytest.mark.parametrize("bad", [-1, 2.0, True, "3"])

@@ -15,6 +15,7 @@ from debias.coin import (
     CoinExtractor,
     SourceExhausted,
     TraceNode,
+    extract_bits,
     node_update,
     take_bits,
 )
@@ -161,6 +162,50 @@ def test_take_bits_refuses_a_bad_count_before_pulling_an_item(k):
         take_bits(s, source, k)
     assert "".join(source) == "HTHTHTHT"
     assert (s.output, s.messages_total, s.symbols_consumed, s.snapshot()) == before
+
+
+class Counting:
+    """An iterator over ``items`` that counts the items pulled from it."""
+
+    def __init__(self, items) -> None:
+        self._items = iter(items)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.pulled += 1
+        return item
+
+
+@pytest.mark.parametrize(
+    "make, items",
+    [
+        (lambda: CoinExtractor(3), "HTTHHTHT"),
+        (lambda: DiceExtractor(3, 3), [0, 2, 1, 2, 2, 0]),
+        (lambda: MarkovExtractor(3, 3), [0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2]),
+        (VonNeumannExtractor, "HTTHHTHT"),
+    ],
+    ids=["coin", "dice", "markov", "vonneumann"],
+)
+def test_take_bits_of_zero_pulls_no_item(make, items):
+    for fed in (0, len(items)):  # a fresh session, then one holding bits
+        s = make()
+        s.feed(items[:fed])
+        assert bool(s.output) == bool(fed)
+        before = s.output.copy()
+        source = Counting(items)
+        assert take_bits(s, source, 0) == ([], 0)
+        assert source.pulled == 0
+        assert s.output == before
+
+
+def test_extract_bits_of_zero_pulls_no_symbol():
+    source = Counting("HTTHHT")
+    assert extract_bits(source, 0) == ([], 0)
+    assert source.pulled == 0
 
 
 class _RefNode:

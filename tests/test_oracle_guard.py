@@ -1,7 +1,9 @@
 """The enumeration size guard counts the 2**k pattern table as well as the
-branching**horizon walk, in all three verifiers."""
+branching**horizon walk, in all three verifiers, and a bad depth cap is
+refused before the pattern table is built."""
 
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +28,23 @@ def test_force_still_runs():
     r = verify_coin(F(1, 3), 4, 16, force=True)
     assert len(r.masses) == 2**16
     assert r.total == 1
+
+
+@pytest.mark.parametrize(
+    "verify, model",
+    [(verify_coin, ("1/2",)), (verify_dice, (HALF,)), (verify_markov, ((HALF, HALF), 0))],
+    ids=["coin", "dice", "markov"],
+)
+def test_a_bad_depth_cap_is_refused_before_the_pattern_table(verify, model):
+    # 2**18 patterns would take tens of MiB; the refusal takes a few KiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="depth_limit must be"):
+            verify(*model, 3, 18, depth_limit=-1, force=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_huge_exponents_are_refused_at_once():

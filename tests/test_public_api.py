@@ -1,6 +1,6 @@
 """What the package promises its users: the lazily resolved exports, the
-``TraceNode`` value type, read-only reports, and the default ``debias
-analyze`` table."""
+``TraceNode`` value type, read-only reports, the default ``debias
+analyze`` table, and one contract for every count, index and depth cap."""
 
 import importlib
 
@@ -8,7 +8,20 @@ import pytest
 
 import debias
 from debias import CoinExtractor, TraceNode
+from debias.analysis import (
+    DomainError,
+    level_traffic,
+    processing_time,
+    simulate_efficiency,
+    time_table,
+    tosses_table,
+)
 from debias.cli import main
+from debias.coin import extract_bits, take_bits
+from debias.dice import DiceExtractor, binarize, face_width
+from debias.inversion import LengthMismatch, replace_logs
+from debias.markov import MarkovExtractor, UnknownState
+from debias.oracle import verify_coin, verify_dice, verify_markov
 
 # `debias analyze` with its defaults: the frozen tosses-per-bit table
 ANALYZE_DEFAULT = """\
@@ -132,3 +145,67 @@ def test_tracenode_walk_needs_no_recursion():
 def test_analyze_defaults_print_the_frozen_table(capsys):
     assert main(["analyze"]) == 0
     assert capsys.readouterr().out == ANALYZE_DEFAULT
+
+
+HALF = ("1/2", "1/2")
+
+# Every public entry point that takes a count, index or depth cap: a call
+# that passes it the value ``x``, the exception class a bad ``x`` raises,
+# and the first value out of range.
+CONTRACT = {
+    "CoinExtractor(depth_limit)": (lambda x: CoinExtractor(x), ValueError, -1),
+    "DiceExtractor(m)": (lambda x: DiceExtractor(x), ValueError, 1),
+    "DiceExtractor(depth_limit)": (lambda x: DiceExtractor(3, x), ValueError, -1),
+    "DiceExtractor face": (lambda x: DiceExtractor(3).feed([0, x]), ValueError, 3),
+    "MarkovExtractor(n_states)": (lambda x: MarkovExtractor(x), ValueError, 1),
+    "MarkovExtractor(depth_limit)": (lambda x: MarkovExtractor(3, x), ValueError, -1),
+    "MarkovExtractor state": (lambda x: MarkovExtractor(3).feed([0, x]), UnknownState, 3),
+    "take_bits(k)": (lambda x: take_bits(CoinExtractor(), "HT", x), ValueError, -1),
+    "extract_bits(k)": (lambda x: extract_bits("HT", x), ValueError, -1),
+    "extract_bits(depth_limit)": (lambda x: extract_bits("HT", 1, x), ValueError, -1),
+    "verify_coin(n_max)": (lambda x: verify_coin("1/2", x, 1), ValueError, 0),
+    "verify_coin(k)": (lambda x: verify_coin("1/2", 2, x), ValueError, 0),
+    "verify_coin(depth_limit)": (lambda x: verify_coin("1/2", 2, 1, x), ValueError, -1),
+    "verify_dice(n_max)": (lambda x: verify_dice(HALF, x, 1), ValueError, 0),
+    "verify_dice(k)": (lambda x: verify_dice(HALF, 2, x), ValueError, 0),
+    "verify_dice(depth_limit)": (lambda x: verify_dice(HALF, 2, 1, x), ValueError, -1),
+    "verify_markov(start)": (lambda x: verify_markov((HALF, HALF), x, 2, 1), ValueError, 2),
+    "verify_markov(n_max)": (lambda x: verify_markov((HALF, HALF), 0, x, 1), ValueError, 0),
+    "verify_markov(k)": (lambda x: verify_markov((HALF, HALF), 0, 2, x), ValueError, 0),
+    "verify_markov(depth_limit)": (
+        lambda x: verify_markov((HALF, HALF), 0, 2, 1, x), ValueError, -1),
+    "level_traffic(depth)": (lambda x: level_traffic(0.3, x), DomainError, -1),
+    "processing_time(depth)": (lambda x: processing_time(0.3, x), DomainError, -1),
+    "tosses_table(depths)": (lambda x: tosses_table([x]), DomainError, -1),
+    "time_table(depths)": (lambda x: time_table([x]), DomainError, -1),
+    "simulate_efficiency(depth)": (lambda x: simulate_efficiency(0.3, x, 4), DomainError, -1),
+    "simulate_efficiency(k)": (lambda x: simulate_efficiency(0.3, 2, x), DomainError, 0),
+    "face_width(m)": (lambda x: face_width(x), ValueError, 1),
+    "binarize(face)": (lambda x: binarize(x, 3), ValueError, 3),
+    "binarize(m)": (lambda x: binarize(0, x), ValueError, 1),
+}
+OUT_OF_RANGE = "out of range"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, OUT_OF_RANGE], ids=str)
+@pytest.mark.parametrize("entry", CONTRACT)
+def test_counts_indices_and_caps_are_ints_not_bools(entry, bad):
+    call, error, first_out = CONTRACT[entry]
+    with pytest.raises(ValueError) as exc:
+        call(first_out if bad == OUT_OF_RANGE else bad)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "new_logs, error",
+    [({"LLLLLLLL": (1,)}, ValueError), ({"": (2, 0)}, ValueError), ({"": (1,)}, LengthMismatch)],
+    ids=["unknown path", "non-bit", "wrong length"],
+)
+def test_every_refused_replacement_log_is_a_value_error(new_logs, error):
+    s = CoinExtractor()
+    s.process_all("HTTHHT")
+    trace = s.snapshot()
+    assert len(trace.bit_log) == 2
+    with pytest.raises(ValueError) as exc:
+        replace_logs(trace, new_logs)
+    assert type(exc.value) is error
