@@ -295,38 +295,29 @@ def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None
     return order, m
 
 
-def _refuse_input_as_output(stream, paths, parser: _Parser) -> None:
-    """End with a configuration error (exit 4) when one of ``paths`` names
-    the regular file the input is read from: opening it for writing would
-    truncate the input before its first read."""
-    try:
-        source = os.fstat(stream.fileno())
-    except (AttributeError, OSError, ValueError):  # no file descriptor behind it
-        return
-    if not stat.S_ISREG(source.st_mode):
-        return
-    for path in paths:
-        if path in (None, "-"):
-            continue
+def _check_distinct_files(named, parser: _Parser) -> list:
+    """End with a configuration error (exit 4) when two of the opened
+    streams are one regular file, by whatever paths; return the regular
+    ones.
+
+    ``named`` holds a ``(name, stream)`` pair per stream: the input first,
+    named None, then each output; a stream of None is not in use.  An
+    output on the input would overwrite it before it is read, and two
+    outputs on one file would mix their bytes."""
+    regular = []
+    for name, stream in named:
         try:
-            same = os.path.samestat(source, os.stat(path))
-        except OSError:  # not there yet
+            st = os.fstat(stream.fileno())
+        except (AttributeError, OSError, ValueError):  # no file descriptor behind it
             continue
-        if same:
-            parser.error(f"{path!r} is the input file; write the output elsewhere")
-
-
-def _refuse_shared_output(out, stats_file, parser: _Parser) -> None:
-    """End with a configuration error (exit 4) when the opened ``--output``
-    and ``--stats-file`` handles are one regular file, by whatever paths:
-    the statistics, written from offset 0 on a handle of their own, would
-    overwrite the bits."""
-    try:
-        a, b = os.fstat(out.fileno()), os.fstat(stats_file.fileno())
-    except (AttributeError, OSError, ValueError):  # no file descriptor behind one of them
-        return
-    if stat.S_ISREG(a.st_mode) and os.path.samestat(a, b):
-        parser.error("--output and --stats-file name the same file; write them to different files")
+        if not stat.S_ISREG(st.st_mode):
+            continue
+        for other, seen, _ in regular:
+            if os.path.samestat(st, seen):
+                parser.error(f"{name} is the input file; write the output elsewhere" if other is None
+                             else f"{other} and {name} name the same file; write them to different files")
+        regular.append((name, st, stream))
+    return [stream for _, _, stream in regular]
 
 
 def _build_extract_session(args, parser: _Parser, stream, order, m):
@@ -371,13 +362,19 @@ def _cmd_extract(args, parser: _Parser) -> int:
         if m is None and not stream.seekable():
             parser.error(f"--mode {args.mode} on {args.input!r} needs --m "
                          "(the prescan cannot rewind a pipe)")
-        _refuse_input_as_output(stream, (args.output, args.stats_file), parser)
-        # every path is checked before the first read of the input, which
-        # may be the prescan in _build_extract_session
-        out = sys.stdout.buffer if args.output == "-" else opened(args.output, "wb")
-        stats_file = opened(args.stats_file, "w") if args.stats_file else None
-        if stats_file is not None:
-            _refuse_shared_output(out, stats_file, parser)
+        # Append mode opens an output without emptying it.  Every stream is
+        # checked before an output is emptied, and before the first read of
+        # the input, which may be the prescan in _build_extract_session.
+        out = sys.stdout.buffer if args.output == "-" else opened(args.output, "ab")
+        stats_file = opened(args.stats_file, "a") if args.stats_file else None
+        regular = _check_distinct_files(
+            [(None, stream), ("stdout" if args.output == "-" else repr(args.output), out),
+             (repr(args.stats_file), stats_file)],
+            parser,
+        )
+        for f in (out, stats_file):
+            if f in regular and f is not sys.stdout.buffer:  # opened here
+                f.truncate(0)
         session, batches, m = _build_extract_session(args, parser, stream, order, m)
 
         # read -> feed -> write: each batch's bits go out before the next read

@@ -43,9 +43,10 @@ definition.  ``H``/``T`` and the string labels exist only at the edges:
 belong to :class:`Arena`, which holds any number of trees, each reached
 from its own root: a coin session is the one-tree case, and a dice or
 Markov session keeps all of its trees in one arena (see
-:mod:`debias.dice`).  One reader makes every snapshot and
-:class:`TreeView`: it reads every tree of the arena in one pass, in time
-linear in the nodes plus the released bits.
+:mod:`debias.dice`).  One reader makes every :class:`TreeView`: it reads
+every tree of the arena in one pass, in time linear in the nodes plus the
+released bits.  A coin ``snapshot()`` fills only the per-node bit logs,
+since it keeps no view.
 
 One loop, :meth:`Arena.feed`, steps every coin, dice and Markov
 session.  It takes each item as a route, the tuple of ``(root, symbol
@@ -363,11 +364,12 @@ class Arena(Session):
         every root: per forest, the bits its trees released, in output
         order, and the view of each tree.
 
-        The one reader of ``_src``: a pass over the nodes marks each node's
-        tree (children come after their parent), one over ``output`` fills
-        the bit logs, and one back over the nodes builds the trace nodes.
+        One of the two readers of ``_src``, with :meth:`_nodes`: a pass over
+        the nodes marks each node's tree (children come after their parent),
+        one over ``output`` fills the bit logs and the bit lists, and
+        :meth:`_nodes` builds the trace nodes.
         """
-        label, kids = self._label, self._kids
+        kids = self._kids
         roots = [r for f in forests for r in f]
         n = len(roots)
         home = [q for q, f in enumerate(forests, n) for _ in f]  # tree -> its forest's bits list
@@ -385,15 +387,27 @@ class Arena(Session):
             t = tree[i]
             bits[t].append(bit)
             bits[home[t]].append(bit)
-        nodes: list = [None] * len(kids)
-        for i in range(len(kids) - 1, -1, -1):
-            k = kids[i]
-            nodes[i] = TraceNode(LABELS[label[i]], tuple(logs[i]), *(nodes[k : k + 2] if k > 0 else ()))
+        nodes = self._nodes(logs)
         d, count = self.depth_limit, self._count
         views = iter(
             [TreeView(bits[t], nodes[r] if r >= 0 else counter_tree(count[~r], d)) for t, r in enumerate(roots)]
         )
         return [(bits[q], [next(views) for _ in f]) for q, f in enumerate(forests, n)]
+
+    def _nodes(self, logs: Sequence[Sequence[int]] | None = None) -> list[TraceNode]:
+        """The trace node of every node, built back to front (children come
+        after their parent), from each node's bit log; without ``logs``,
+        the logs are read from ``_src``."""
+        label, kids = self._label, self._kids
+        if logs is None:
+            logs = [[] for _ in kids]
+            for bit, i in zip(self.output, self._src):
+                logs[i].append(bit)
+        nodes: list = [None] * len(kids)
+        for i in range(len(kids) - 1, -1, -1):
+            k = kids[i]
+            nodes[i] = TraceNode(LABELS[label[i]], tuple(logs[i]), *(nodes[k : k + 2] if k > 0 else ()))
+        return nodes
 
     def clone(self):
         """Independent deep copy; processing one never affects the other.
@@ -484,8 +498,7 @@ class CoinExtractor(Arena):
 
     def snapshot(self) -> TraceNode:
         """Immutable copy of the current tree (labels plus bit logs)."""
-        ((_, (view,)),) = self._read(((0,),))
-        return view.tree
+        return self._nodes()[0]
 
 
 class SourceExhausted(Exception):

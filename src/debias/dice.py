@@ -74,8 +74,12 @@ def binarize(face: int, m: int) -> str:
 
 def prefix_stream(faces: Iterable[int], prefix: str, m: int) -> str:
     """The sub-stream a given forest slot receives: for each face whose
-    word starts with ``prefix``, the bit right after it."""
+    word starts with ``prefix``, the bit right after it.  A prefix that is
+    not a string of ``H``/``T`` shorter than the word width raises
+    ``ValueError`` before any face is read."""
     w = face_width(m)
+    if not isinstance(prefix, str) or prefix.strip(HEADS + TAILS):
+        raise ValueError(f"prefix must be a string of {HEADS!r} and {TAILS!r}, got {prefix!r}")
     ell = len(prefix)
     if ell >= w:
         raise ValueError(f"prefix must be shorter than the word width {w}")

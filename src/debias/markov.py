@@ -53,7 +53,12 @@ def exit_stream(states: Sequence[int], state: int) -> list[int]:
 
     >>> exit_stream([3, 1, 3, 2, 0, 1, 0], 3)
     [1, 2]
+
+    A state the walk never leaves has none; a ``state`` that is not an
+    int of at least 0 (a bool included) raises ``ValueError``.
     """
+    if not _is_count(state):
+        raise ValueError(f"state must be a nonnegative int, got {state!r}")
     return [states[j + 1] for j in range(len(states) - 1) if states[j] == state]
 
 

@@ -23,8 +23,16 @@ an explicit list, not on the call stack, so the horizon is not bounded by
 the interpreter's recursion limit, and each branch steps its session with
 a one-item ``feed``.
 
-Enumeration is exponential in the horizon and the mass table in ``k``, so
-each verifier caps both; pass ``force=True`` to exceed the cap deliberately.
+Each verifier only parses its model, names it and describes its walk: a
+session factory, the first moves, the moves after each move, and the
+horizon ``n_max`` (a Markov walk's session is made at its start state, so
+its horizon counts transitions).  One body does the rest for all three:
+it checks ``k`` and ``n_max`` as counts and ``force`` as a ``bool``,
+applies the size guard, walks and reports.  Enumeration is exponential in
+the horizon and the mass table in ``k``, so the guard caps both, per
+model; pass ``force=True`` to exceed the cap deliberately.  A die's
+distribution and each row of a transition matrix pass one rule: exact
+probabilities, at least two, summing to exactly 1.
 """
 
 from __future__ import annotations
@@ -127,23 +135,15 @@ def _as_probability(x, what: str) -> Fraction:
     return f
 
 
-def _check_counts(k: int, n_max: int) -> None:
-    """Raise ``ValueError`` unless ``k`` and ``n_max`` are positive ints
-    (not bools)."""
-    for name, n in (("k", k), ("n_max", n_max)):
-        if not _is_count(n, 1):
-            raise ValueError(f"{name} must be a positive int, got {n!r}")
-
-
-def _check_size(branching: int, horizon: int, k: int, cap: int, force: bool) -> None:
-    """Raise unless both the ``branching**horizon`` leaves of the walk and the
-    ``2**k`` patterns :func:`_enumerate` tabulates up front fit under ``cap``."""
-    # Every base is at least 2, so clipping an exponent at cap.bit_length()
-    # keeps the comparison exact without building a huge int.
-    top = cap.bit_length()
-    size = max(branching ** min(horizon, top), 2 ** min(k, top))
-    if size > cap and not force:
-        raise HorizonTooLarge(size, cap)
+def _distribution(entries, what: str) -> list[Fraction]:
+    """The exact probabilities ``entries``, each named ``what[i]`` in an
+    error: at least two, summing to exactly 1."""
+    probs = [_as_probability(x, f"{what}[{i}]") for i, x in enumerate(entries)]
+    if len(probs) < 2:
+        raise ValueError(f"{what} needs at least two probabilities, got {len(probs)}")
+    if sum(probs) != 1:
+        raise ValueError(f"{what} must sum to 1, got {sum(probs)}")
+    return probs
 
 
 def _enumerate(
@@ -196,6 +196,26 @@ def _enumerate(
     return {pattern: Fraction(v, scale) for pattern, v in sums.items()}, Fraction(incomplete, scale)
 
 
+def _verify(kind, params, depth_limit, make_session, first_moves, next_moves, n_max, k, cap, force):
+    """The shared body of the verifiers: check ``k``, ``n_max`` and ``force``,
+    apply the size guard to the ``len(next_moves)**n_max`` leaves of the walk
+    and the ``2**k`` patterns, then walk ``n_max`` moves (see
+    :func:`_enumerate`) and report."""
+    for name, n in (("k", k), ("n_max", n_max)):
+        if not _is_count(n, 1):
+            raise ValueError(f"{name} must be a positive int, got {n!r}")
+    if not isinstance(force, bool):
+        raise ValueError(f"force must be a bool, got {force!r}")
+    # Every base is at least 2, so clipping an exponent at cap.bit_length()
+    # keeps the comparison exact without building a huge int.
+    top = cap.bit_length()
+    size = max(len(next_moves) ** min(n_max, top), 2 ** min(k, top))
+    if size > cap and not force:
+        raise HorizonTooLarge(size, cap)
+    masses, incomplete = _enumerate(make_session, first_moves, next_moves, n_max, k)
+    return UniformityReport(kind, params, k, n_max, depth_limit, masses, incomplete)
+
+
 def verify_coin(
     p,
     n_max: int,
@@ -206,13 +226,9 @@ def verify_coin(
     """Enumerate every H/T sequence of length ``n_max`` for a coin with
     exact ``P(H) = p`` (int, str like ``"1/3"``, or Fraction)."""
     p = _as_probability(p, "p")
-    _check_counts(k, n_max)
-    _check_size(2, n_max, k, MAX_COIN_LEAVES, force)
     dist = ((HEADS, p), (TAILS, 1 - p))
-    masses, incomplete = _enumerate(
-        lambda: CoinExtractor(depth_limit), dist, dict.fromkeys((HEADS, TAILS), dist), n_max, k
-    )
-    return UniformityReport("coin", f"P(H)={p}", k, n_max, depth_limit, masses, incomplete)
+    return _verify("coin", f"P(H)={p}", depth_limit, lambda: CoinExtractor(depth_limit),
+                   dist, dict.fromkeys((HEADS, TAILS), dist), n_max, k, MAX_COIN_LEAVES, force)
 
 
 def verify_dice(
@@ -224,20 +240,12 @@ def verify_dice(
 ) -> UniformityReport:
     """Enumerate every face sequence of length ``n_max`` for an m-sided
     die with the given exact face probabilities (must sum to 1)."""
-    probs = [_as_probability(x, f"dist[{i}]") for i, x in enumerate(dist)]
+    probs = _distribution(dist, "dist")
     m = len(probs)
-    if m < 2:
-        raise ValueError("dist needs at least two faces")
-    if sum(probs) != 1:
-        raise ValueError(f"face probabilities must sum to 1, got {sum(probs)}")
-    _check_counts(k, n_max)
-    _check_size(m, n_max, k, MAX_DICE_LEAVES, force)
-    moves = tuple((f, pr) for f, pr in enumerate(probs))
-    masses, incomplete = _enumerate(
-        lambda: DiceExtractor(m, depth_limit), moves, dict.fromkeys(range(m), moves), n_max, k
-    )
+    moves = tuple(enumerate(probs))
     params = "dist=(" + ", ".join(str(pr) for pr in probs) + ")"
-    return UniformityReport("dice", params, k, n_max, depth_limit, masses, incomplete)
+    return _verify("dice", params, depth_limit, lambda: DiceExtractor(m, depth_limit),
+                   moves, dict.fromkeys(range(m), moves), n_max, k, MAX_DICE_LEAVES, force)
 
 
 def verify_markov(
@@ -250,30 +258,25 @@ def verify_markov(
 ) -> UniformityReport:
     """Enumerate every walk of ``n_max`` transitions from ``start`` under
     the given exact row-stochastic transition matrix."""
-    rows = [[_as_probability(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(matrix)]
+    rows = [_distribution(row, f"matrix[{i}]") for i, row in enumerate(matrix)]
     m = len(rows)
     if m < 2:
         raise ValueError("matrix needs at least two states")
     for i, row in enumerate(rows):
         if len(row) != m:
             raise ValueError(f"matrix row {i} has {len(row)} entries, expected {m}")
-        if sum(row) != 1:
-            raise ValueError(f"matrix row {i} must sum to 1, got {sum(row)}")
     if not (_is_count(start) and start < m):
         raise ValueError(f"start must be a state in 0..{m - 1}, got {start!r}")
-    _check_counts(k, n_max)
-    _check_size(m, n_max, k, MAX_MARKOV_LEAVES, force)
-    moves_from = [tuple((j, pr) for j, pr in enumerate(row)) for row in rows]
-    masses, incomplete = _enumerate(
-        lambda: MarkovExtractor(m, depth_limit),
-        ((start, Fraction(1)),),
-        dict(enumerate(moves_from)),
-        n_max + 1,  # the start state plus n_max transitions
-        k,
-    )
+
+    def at_start():  # the walk's first state, which delivers nothing
+        session = MarkovExtractor(m, depth_limit)
+        session.feed((start,))
+        return session
+
+    moves_from = {i: tuple(enumerate(row)) for i, row in enumerate(rows)}
     params = (
         "matrix=(" + "; ".join(", ".join(str(x) for x in row) for row in rows)
         + f"), start={start}"
     )
-    return UniformityReport("markov", params, k, n_max, depth_limit, masses, incomplete)
+    return _verify("markov", params, depth_limit, at_start,
+                   moves_from[start], moves_from, n_max, k, MAX_MARKOV_LEAVES, force)

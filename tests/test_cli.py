@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import debias
 from debias.cli import main
 from debias.coin import CoinExtractor, take_bits
 from debias.dice import DiceExtractor
@@ -162,6 +163,15 @@ def test_prescan_refuses_an_input_it_cannot_rewind(mode, capsys):
         os.close(r)
 
 
+@pytest.mark.parametrize("mode", ["dice", "markov"])
+def test_prescan_of_a_file_with_no_values_is_config_error(mode, tmp_path, capsys):
+    empty = tmp_path / "blank.txt"
+    empty.write_text(" \n\t\n")
+    code, out, err = run_cli(["extract", "--mode", mode, "--input", str(empty)], capsys)
+    assert (code, out) == (4, "")
+    assert f"cannot infer m from {str(empty)!r} (no values); pass --m" in err
+
+
 def test_extract_dice_face_out_of_range(tmp_path, capsys):
     f = tmp_path / "faces.txt"
     f.write_text("0 1 3")
@@ -298,6 +308,13 @@ def test_analyze_rejects_bad_bias(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("flag", ["--depths", "--ps"])
+def test_analyze_rejects_a_non_number(flag, capsys):
+    code, out, err = run_cli(["analyze", flag, "x"], capsys)
+    assert (code, out) == (4, "")
+    assert "--depths and --ps must be comma-separated numbers" in err
+
+
 def test_verify_coin_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(
         ["verify", "--mode", "coin", "--p", "1/3", "--n-max", "10", "--bits", "2",
@@ -336,6 +353,8 @@ def test_verify_dice_and_markov(capsys):
 def test_verify_config_errors(capsys):
     cases = [
         ["verify", "--mode", "coin", "--n-max", "6", "--bits", "1"],  # no --p
+        ["verify", "--mode", "dice", "--n-max", "6", "--bits", "1"],  # no --dist
+        ["verify", "--mode", "markov", "--n-max", "6", "--bits", "1"],  # no --matrix
         ["verify", "--mode", "coin", "--p", "3/2", "--n-max", "6", "--bits", "1"],
         ["verify", "--mode", "dice", "--dist", "1/2,1/3", "--n-max", "6", "--bits", "1"],
         ["verify", "--mode", "markov", "--matrix", "1,0;0,1", "--start", "5",
@@ -402,6 +421,17 @@ def test_bench_deterministic_and_json(capsys):
         "tosses_per_bit", "messages_per_symbol", "expected_tosses_per_bit",
         "expected_messages_per_symbol",
     ]]
+
+
+def test_bench_text_at_unlimited_depth_has_no_delivery_prediction(capsys):
+    code, out, _ = run_cli(["bench", "--p", "0.3", "--depth", "unlimited", "--bits", "200",
+                            "--seed", "1"], capsys)
+    assert code == 0
+    header, trial, mean = out.splitlines()
+    assert "depth=unlimited" in header
+    assert trial.startswith("  seed 1: ") and trial.count("(predicted") == 1
+    assert trial.endswith(" deliveries/symbol")
+    assert mean.startswith("  mean: ")
 
 
 def test_bench_rejects_bad_config(capsys):
@@ -635,6 +665,55 @@ def test_output_naming_another_file_is_written(coin_file, tmp_path, capsys):
     assert code == 0
     assert dest.read_text() == "11\n"
     assert json.loads(stats.read_text())["output_bits"] == 2
+
+
+def test_output_and_stats_file_refused_on_one_file_keep_its_content(coin_file, tmp_path, capsys):
+    dest = tmp_path / "o.txt"
+    dest.write_bytes(b"earlier output\n")
+    code, out, err = run_cli(
+        ["extract", "--mode", "coin", "--input", coin_file, "--output", str(dest),
+         "--stats-file", str(dest)],
+        capsys,
+    )
+    assert (code, out) == (4, "")
+    assert "same file" in err
+    assert dest.read_bytes() == b"earlier output\n"
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(debias.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("via", ["--input", "stdin"])
+def test_stdout_appended_to_the_input_is_config_error(via, tmp_path):
+    source = tmp_path / "flips.txt"
+    source.write_bytes(b"HTTTHT\n")
+    argv = [sys.executable, "-m", "debias.cli", "extract", "--mode", "coin"]
+    with open(source, "ab") as append, open(source, "rb") as read:
+        if via == "--input":
+            argv += ["--input", str(source)]
+        child = subprocess.run(argv, stdin=read if via == "stdin" else subprocess.DEVNULL,
+                               stdout=append, stderr=subprocess.PIPE, env=_child_env())
+    assert child.returncode == 4
+    assert b"stdout is the input file" in child.stderr
+    assert source.read_bytes() == b"HTTTHT\n"
+
+
+def test_stats_file_on_stdout_is_config_error(coin_file, tmp_path):
+    dest = tmp_path / "o.txt"
+    dest.write_bytes(b"earlier output\n")
+    with open(dest, "ab") as append:
+        child = subprocess.run(
+            [sys.executable, "-m", "debias.cli", "extract", "--mode", "coin", "--input", coin_file,
+             "--stats-file", str(dest)],
+            stdin=subprocess.DEVNULL, stdout=append, stderr=subprocess.PIPE, env=_child_env(),
+        )
+    assert child.returncode == 4
+    assert b"same file" in child.stderr
+    assert dest.read_bytes() == b"earlier output\n"
 
 
 @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")

@@ -37,6 +37,16 @@ def test_prefix_stream_golden():
         prefix_stream(GOLDEN_FACES, "TT", 3)  # as long as the word: no next bit
 
 
+@pytest.mark.parametrize("prefix", ["X", "HX", "h", " T", None, ["H"]], ids=repr)
+def test_prefix_stream_refuses_a_bad_prefix_before_reading(prefix):
+    def faces():
+        raise AssertionError("a face was read before the prefix was checked")
+        yield 0
+
+    with pytest.raises(ValueError, match="prefix must be a string of 'H' and 'T'"):
+        prefix_stream(faces(), prefix, 8)
+
+
 def test_worked_three_sided_run():
     s = DiceExtractor(3)
     per_face = [s.process(f).bits for f in GOLDEN_FACES]

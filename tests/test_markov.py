@@ -18,6 +18,18 @@ def test_exit_stream():
     assert exit_stream(GOLDEN_WALK, 3) == [1, 0]
     assert exit_stream([], 0) == []
     assert exit_stream([0], 0) == []  # the final visit has no successor yet
+    assert exit_stream(GOLDEN_WALK, 7) == []  # a state the walk never visits
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, None, "1"], ids=repr)
+def test_exit_stream_state_is_a_count(bad):
+    with pytest.raises(ValueError, match="state must be a nonnegative int"):
+        exit_stream([0, 1, 0, 2, 1, 2], bad)
+
+
+def test_n_states_is_the_forest_alphabet():
+    s = MarkovExtractor(5)
+    assert s.n_states == s.m == 5
 
 
 def test_worked_walk_parking_and_delivery():

@@ -147,6 +147,21 @@ def test_counts_are_ints_not_bools(k, n_max):
         verify_markov(chain, 0, n_max, k)
 
 
+@pytest.mark.parametrize("force", ["no", 1, None], ids=repr)
+def test_force_must_be_a_bool(force):
+    # each configuration fits under the guard, so it would run if a
+    # non-bool were read by its truth value
+    chain = ((F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)))
+    with pytest.raises(ValueError, match="^force must be a bool"):
+        verify_coin("1/3", 4, 1, force=force)
+    with pytest.raises(ValueError, match="^force must be a bool"):
+        verify_dice((F(1, 3), F(2, 3)), 4, 1, force=force)
+    with pytest.raises(ValueError, match="^force must be a bool"):
+        verify_markov(chain, 0, 4, 1, force=force)
+    with pytest.raises(ValueError, match="^force must be a bool"):
+        verify_coin("1/2", 15, 1, force=force)  # past the guard
+
+
 def test_horizon_guards():
     with pytest.raises(HorizonTooLarge):
         verify_coin(F(1, 2), 15, 1)

@@ -18,9 +18,9 @@ from debias.analysis import (
 )
 from debias.cli import main
 from debias.coin import extract_bits, take_bits
-from debias.dice import DiceExtractor, binarize, face_width
+from debias.dice import DiceExtractor, binarize, face_width, prefix_stream
 from debias.inversion import LengthMismatch, replace_logs
-from debias.markov import MarkovExtractor, UnknownState
+from debias.markov import MarkovExtractor, UnknownState, exit_stream
 from debias.oracle import verify_coin, verify_dice, verify_markov
 
 # `debias analyze` with its defaults: the frozen tosses-per-bit table
@@ -183,6 +183,9 @@ CONTRACT = {
     "face_width(m)": (lambda x: face_width(x), ValueError, 1),
     "binarize(face)": (lambda x: binarize(x, 3), ValueError, 3),
     "binarize(m)": (lambda x: binarize(0, x), ValueError, 1),
+    "prefix_stream(m)": (lambda x: prefix_stream([0], "", x), ValueError, 1),
+    "prefix_stream face": (lambda x: prefix_stream([0, x], "", 3), ValueError, 3),
+    "exit_stream(state)": (lambda x: exit_stream([0, 1, 0, 2, 1, 2], x), ValueError, -1),
 }
 OUT_OF_RANGE = "out of range"
 
