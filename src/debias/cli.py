@@ -263,6 +263,8 @@ def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None
     ``--state-order`` values (None without one) and the alphabet size m
     (None when the prescan is to infer it)."""
     mode = args.mode
+    if args.stats_file == "-":
+        parser.error("--stats-file needs a path; pass --stats for the statistics on stderr")
     if args.state_order and mode != "markov":
         parser.error("--state-order only applies to --mode markov")
     if mode in ("coin", "vonneumann"):
@@ -353,20 +355,42 @@ def _cmd_extract(args, parser: _Parser) -> int:
     if k is not None and k < 0:
         parser.error("--bits must be nonnegative")
     order, m = _extract_config(args, parser)  # options before any file is opened
+    created: list[str] = []  # the output paths this run made
+
+    def refused(kind, *_):  # runs last, once every file is closed
+        if kind is SystemExit:  # a refusal leaves no file it made
+            for path in created:
+                os.remove(path)
+
     with contextlib.ExitStack() as files:
+        files.push(refused)
 
         def opened(path: str, mode: str):
             return files.enter_context(_open(path, mode, parser))
+
+        def output(path: str, mode: str):
+            # A new path is created exclusively, and noted; an existing one
+            # is opened in append mode, which does not empty it.  Any other
+            # failure is reported by the append open.
+            with contextlib.suppress(OSError):
+                f = files.enter_context(open(path, "x" + mode))
+                created.append(path)
+                return f
+            f = opened(path, "a" + mode)
+            # A second name for a file this run made: the same-file refusal
+            # names that file, and keeps it.
+            created[:] = [p for p in created if not os.path.samefile(p, path)]
+            return f
 
         stream = sys.stdin.buffer if args.input == "-" else opened(args.input, "rb")
         if m is None and not stream.seekable():
             parser.error(f"--mode {args.mode} on {args.input!r} needs --m "
                          "(the prescan cannot rewind a pipe)")
-        # Append mode opens an output without emptying it.  Every stream is
-        # checked before an output is emptied, and before the first read of
-        # the input, which may be the prescan in _build_extract_session.
-        out = sys.stdout.buffer if args.output == "-" else opened(args.output, "ab")
-        stats_file = opened(args.stats_file, "a") if args.stats_file else None
+        # Every stream is checked before an output is emptied, and before the
+        # first read of the input, which may be the prescan in
+        # _build_extract_session.
+        out = sys.stdout.buffer if args.output == "-" else output(args.output, "b")
+        stats_file = output(args.stats_file, "") if args.stats_file else None
         regular = _check_distinct_files(
             [(None, stream), ("stdout" if args.output == "-" else repr(args.output), out),
              (repr(args.stats_file), stats_file)],
@@ -584,7 +608,7 @@ def build_parser() -> _Parser:
                     help="output prefix length whose distribution is checked")
     pv.add_argument("--depth", type=_parse_depth, default=None, metavar="D",
                     help="depth limit (default unlimited)")
-    pv.add_argument("--force", action="store_true", help="override the enumeration size guard")
+    pv.add_argument("--force", action="store_true", help="override the enumeration work guard")
     pv.add_argument("--format", choices=("text", "csv"), default="text")
     pv.add_argument("--output", default="-", metavar="PATH")
     pv.set_defaults(func=_cmd_verify)

@@ -28,11 +28,15 @@ session factory, the first moves, the moves after each move, and the
 horizon ``n_max`` (a Markov walk's session is made at its start state, so
 its horizon counts transitions).  One body does the rest for all three:
 it checks ``k`` and ``n_max`` as counts and ``force`` as a ``bool``,
-applies the size guard, walks and reports.  Enumeration is exponential in
-the horizon and the mass table in ``k``, so the guard caps both, per
-model; pass ``force=True`` to exceed the cap deliberately.  A die's
-distribution and each row of a transition matrix pass one rule: exact
-probabilities, at least two, summing to exactly 1.
+applies the work guard, walks and reports.  A walk can be exponential in
+its horizon and the mass table is in ``k``, so one budget,
+``MAX_BRANCHES``, bounds the work.  The walk counts the branches it takes
+off its list against it, and two exact lower bounds are checked before
+anything is built: the ``2**k`` patterns of the table, and ``n_max``
+itself, since the run that always makes one and the same possible move
+from each state releases no bit, and takes a branch per move.  Pass ``force=True`` to lift the budget
+deliberately.  A die's distribution and each row of a transition matrix
+pass one rule: exact probabilities, at least two, summing to exactly 1.
 """
 
 from __future__ import annotations
@@ -45,14 +49,16 @@ from .coin import HEADS, TAILS, CoinExtractor, _is_count
 from .dice import DiceExtractor
 from .markov import MarkovExtractor
 
-# Enumeration size guards on branching^horizon leaves and 2^k output patterns.
-MAX_COIN_LEAVES = 2**14
-MAX_DICE_LEAVES = 2**14
-MAX_MARKOV_LEAVES = 2**10
+# The enumeration work guard: branches walked, and 2^k output patterns.
+MAX_BRANCHES = 2**14
 
 
 class HorizonTooLarge(ValueError):
-    """The requested enumeration exceeds the size guard (see ``force``)."""
+    """The requested enumeration exceeds the work guard (see ``force``).
+
+    ``leaves`` is the size that tripped it: the branches the walk counted,
+    the horizon ``n_max``, or the ``2**k`` output patterns; ``cap`` is the
+    budget it passed."""
 
     def __init__(self, leaves: int, cap: int) -> None:
         self.leaves = leaves
@@ -152,10 +158,12 @@ def _enumerate(
     next_moves: Mapping[object, Sequence[tuple[object, Fraction]]],
     horizon: int,
     k: int,
+    budget: float = math.inf,
 ) -> tuple[dict[str, Fraction], Fraction]:
     """Walk every run of at most ``horizon`` moves, ``first_moves`` first and
     ``next_moves[x]`` after move ``x``; return each k-bit pattern's mass and
-    the incomplete mass.
+    the incomplete mass.  Raise :class:`HorizonTooLarge` once the walk takes
+    more than ``budget`` branches off its list.
 
     The first session is made before anything is tabulated, so a session
     that refuses its configuration (a bad depth cap) does so before the
@@ -173,13 +181,16 @@ def _enumerate(
     # steps_left + 1); times rescale[steps_left] it is over den**horizon.
     rescale = [0] + [den**j for j in range(horizon)]
     sums = {format(i, f"0{k}b"): 0 for i in range(2**k)}
-    incomplete = 0
+    incomplete = taken = 0
 
     # Depth-first with clone-on-branch.  Each open branch is a (session,
     # weight, moves, steps_left) entry on a list; its last move reuses the
     # session, so a straight-line walk allocates nothing extra.
     branches = [(root, 1, first, horizon)]
     while branches:
+        taken += 1
+        if taken > budget:
+            raise HorizonTooLarge(taken, budget)
         session, weight, moves, steps_left = branches.pop()
         last = len(moves) - 1
         for i, (x, num) in enumerate(moves):
@@ -196,23 +207,22 @@ def _enumerate(
     return {pattern: Fraction(v, scale) for pattern, v in sums.items()}, Fraction(incomplete, scale)
 
 
-def _verify(kind, params, depth_limit, make_session, first_moves, next_moves, n_max, k, cap, force):
+def _verify(kind, params, depth_limit, make_session, first_moves, next_moves, n_max, k, force):
     """The shared body of the verifiers: check ``k``, ``n_max`` and ``force``,
-    apply the size guard to the ``len(next_moves)**n_max`` leaves of the walk
-    and the ``2**k`` patterns, then walk ``n_max`` moves (see
-    :func:`_enumerate`) and report."""
+    refuse up front a configuration whose ``n_max`` or ``2**k`` patterns
+    pass ``MAX_BRANCHES``, then walk ``n_max`` moves under that budget (see
+    :func:`_enumerate`) and report.  ``force=True`` lifts the budget."""
     for name, n in (("k", k), ("n_max", n_max)):
         if not _is_count(n, 1):
             raise ValueError(f"{name} must be a positive int, got {n!r}")
     if not isinstance(force, bool):
         raise ValueError(f"force must be a bool, got {force!r}")
-    # Every base is at least 2, so clipping an exponent at cap.bit_length()
-    # keeps the comparison exact without building a huge int.
-    top = cap.bit_length()
-    size = max(len(next_moves) ** min(n_max, top), 2 ** min(k, top))
-    if size > cap and not force:
-        raise HorizonTooLarge(size, cap)
-    masses, incomplete = _enumerate(make_session, first_moves, next_moves, n_max, k)
+    budget = math.inf if force else MAX_BRANCHES
+    # Clipping k keeps 2**k small and the comparison exact.
+    size = max(n_max, 2 ** min(k, MAX_BRANCHES.bit_length()))
+    if size > budget:
+        raise HorizonTooLarge(size, budget)
+    masses, incomplete = _enumerate(make_session, first_moves, next_moves, n_max, k, budget)
     return UniformityReport(kind, params, k, n_max, depth_limit, masses, incomplete)
 
 
@@ -228,7 +238,7 @@ def verify_coin(
     p = _as_probability(p, "p")
     dist = ((HEADS, p), (TAILS, 1 - p))
     return _verify("coin", f"P(H)={p}", depth_limit, lambda: CoinExtractor(depth_limit),
-                   dist, dict.fromkeys((HEADS, TAILS), dist), n_max, k, MAX_COIN_LEAVES, force)
+                   dist, dict.fromkeys((HEADS, TAILS), dist), n_max, k, force)
 
 
 def verify_dice(
@@ -245,7 +255,7 @@ def verify_dice(
     moves = tuple(enumerate(probs))
     params = "dist=(" + ", ".join(str(pr) for pr in probs) + ")"
     return _verify("dice", params, depth_limit, lambda: DiceExtractor(m, depth_limit),
-                   moves, dict.fromkeys(range(m), moves), n_max, k, MAX_DICE_LEAVES, force)
+                   moves, dict.fromkeys(range(m), moves), n_max, k, force)
 
 
 def verify_markov(
@@ -274,9 +284,6 @@ def verify_markov(
         return session
 
     moves_from = {i: tuple(enumerate(row)) for i, row in enumerate(rows)}
-    params = (
-        "matrix=(" + "; ".join(", ".join(str(x) for x in row) for row in rows)
-        + f"), start={start}"
-    )
+    params = f"matrix=({'; '.join(', '.join(map(str, row)) for row in rows)}), start={start}"
     return _verify("markov", params, depth_limit, at_start,
-                   moves_from[start], moves_from, n_max, k, MAX_MARKOV_LEAVES, force)
+                   moves_from[start], moves_from, n_max, k, force)

@@ -359,7 +359,7 @@ def test_verify_config_errors(capsys):
         ["verify", "--mode", "dice", "--dist", "1/2,1/3", "--n-max", "6", "--bits", "1"],
         ["verify", "--mode", "markov", "--matrix", "1,0;0,1", "--start", "5",
          "--n-max", "6", "--bits", "1"],
-        ["verify", "--mode", "coin", "--p", "1/2", "--n-max", "20", "--bits", "1"],
+        ["verify", "--mode", "coin", "--p", "1/3", "--n-max", "40", "--bits", "4"],
     ]
     for argv in cases:
         code, _, err = run_cli(argv, capsys)
@@ -392,6 +392,14 @@ def test_verify_entries_may_carry_spaces(capsys):
         capsys,
     )
     assert code == 0 and "dist=(1/2, 1/3, 1/6)" in out
+
+
+def test_verify_runs_a_walk_within_the_work_guard(capsys):
+    # 5,023 branches: 2**15 leaves, but well within the 2**14 branch budget
+    code, out, _ = run_cli(
+        ["verify", "--mode", "coin", "--p", "1/3", "--n-max", "15", "--bits", "4"], capsys
+    )
+    assert code == 0 and "uniform: yes" in out
 
 
 def test_verify_force_overrides_guard(capsys):
@@ -678,6 +686,42 @@ def test_output_and_stats_file_refused_on_one_file_keep_its_content(coin_file, t
     assert (code, out) == (4, "")
     assert "same file" in err
     assert dest.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "coin", "--input", "{src}", "--stats-file", "{src}"],
+        ["--mode", "coin", "--input", "{src}", "--stats-file", "{dir}/missing/stats.json"],
+        ["--mode", "dice", "--input", "{dir}/empty.txt"],
+    ],
+    ids=["same-file", "unopenable-stats-file", "prescan"],
+)
+def test_refused_extract_removes_the_output_it_created(argv, tmp_path, capsys):
+    source = tmp_path / "flips.txt"
+    source.write_bytes(b"HTTTHT\n")
+    (tmp_path / "empty.txt").write_bytes(b"")
+    new = tmp_path / "new.txt"
+    argv = [arg.format(src=source, dir=tmp_path) for arg in argv]
+    code, out, _ = run_cli(["extract", *argv, "--output", str(new)], capsys)
+    assert (code, out) == (4, "")
+    assert not new.exists()
+    assert source.read_bytes() == b"HTTTHT\n"
+
+
+def test_stats_file_dash_is_config_error(coin_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    kept = tmp_path / "out.txt"
+    kept.write_text("earlier output\n")
+    code, out, err = run_cli(
+        ["extract", "--mode", "coin", "--input", coin_file, "--output", str(kept),
+         "--stats-file", "-"],
+        capsys,
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("debias: error: --stats-file") and "--stats " in err
+    assert not (tmp_path / "-").exists()
+    assert kept.read_text() == "earlier output\n"
 
 
 def _child_env() -> dict:

@@ -159,16 +159,22 @@ def test_force_must_be_a_bool(force):
     with pytest.raises(ValueError, match="^force must be a bool"):
         verify_markov(chain, 0, 4, 1, force=force)
     with pytest.raises(ValueError, match="^force must be a bool"):
-        verify_coin("1/2", 15, 1, force=force)  # past the guard
+        verify_coin("1/2", 15, 1, force=force)  # 2**15 leaves, 406 feeds
 
 
 def test_horizon_guards():
-    with pytest.raises(HorizonTooLarge):
-        verify_coin(F(1, 2), 15, 1)
-    with pytest.raises(HorizonTooLarge):
-        verify_dice((F(1, 3),) * 3, 10, 1)
-    with pytest.raises(HorizonTooLarge):
-        verify_markov(((F(1, 2), F(1, 2)),) * 2, 0, 11, 1)
+    # far more leaves than the budget, but only 406, 1,284 and 1,087 feeds
+    for report in (verify_coin(F(1, 2), 15, 1), verify_dice((F(1, 3),) * 3, 10, 1),
+                   verify_markov(((F(1, 2), F(1, 2)),) * 2, 0, 11, 1)):
+        assert_sound(report)
+        assert report.uniform
+    # walks over the budget, each refused as its count passes it
+    for walk in (lambda: verify_coin(F(1, 3), 40, 4),
+                 lambda: verify_dice((F(1, 3),) * 3, 20, 3),
+                 lambda: verify_markov(((F(1, 2), F(1, 2)),) * 2, 0, 30, 3)):
+        with pytest.raises(HorizonTooLarge) as exc:
+            walk()
+        assert exc.value.leaves == exc.value.cap + 1
     forced = verify_markov(((F(1, 2), F(1, 2)),) * 2, 0, 11, 1, force=True)
     assert_sound(forced)
     assert forced.uniform

@@ -1,6 +1,7 @@
-"""The enumeration size guard counts the 2**k pattern table as well as the
-branching**horizon walk, in all three verifiers, and a bad depth cap is
-refused before the pattern table is built."""
+"""The enumeration work guard counts the branches of the walk against one
+budget, and checks the 2**k pattern table and the horizon before it, in
+all three verifiers; a bad depth cap is refused before the pattern table is
+built."""
 
 import time
 import tracemalloc
@@ -8,8 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from debias import oracle
 from debias.cli import main
-from debias.oracle import HorizonTooLarge, verify_coin, verify_dice, verify_markov
+from debias.oracle import MAX_BRANCHES, HorizonTooLarge, verify_coin, verify_dice, verify_markov
 
 HALF = (F(1, 2), F(1, 2))
 
@@ -20,8 +22,31 @@ def test_pattern_table_counts_against_the_cap():
     with pytest.raises(HorizonTooLarge):
         verify_dice(HALF, 4, 15)
     with pytest.raises(HorizonTooLarge):
-        verify_markov((HALF, HALF), 0, 4, 11)
+        verify_markov((HALF, HALF), 0, 4, 15)
     assert verify_coin(F(1, 3), 4, 14).total == 1  # 2**14 patterns is at the cap
+
+
+def test_the_budget_counts_branches(monkeypatch):
+    # a fair coin at n=14, k=8 takes 2**14 - 1 branches, one under the budget
+    report = verify_coin("1/2", 14, 8)
+    assert report.uniform and report.total == 1
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", MAX_BRANCHES - 1)
+    assert verify_coin("1/2", 14, 8) == report
+    monkeypatch.setattr(oracle, "MAX_BRANCHES", MAX_BRANCHES - 2)
+    with pytest.raises(HorizonTooLarge) as exc:
+        verify_coin("1/2", 14, 8)
+    assert (exc.value.leaves, exc.value.cap) == (MAX_BRANCHES - 1, MAX_BRANCHES - 2)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda force: verify_coin("1/3", 15, 4, force=force),
+    lambda force: verify_dice(["1/2", "1/3", "1/6"], 9, 2, force=force),
+    lambda force: verify_markov([["1/3", "2/3"], ["3/4", "1/4"]], 0, 11, 2, force=force),
+], ids=["coin", "dice", "markov"])
+def test_benchmark_walks_fit_the_budget(verify):
+    report = verify(False)
+    assert report == verify(True)
+    assert report.uniform and report.total == 1
 
 
 def test_force_still_runs():

@@ -116,6 +116,12 @@ def test_benchmark_walks_cost_the_same(run, cls, steps, clones, monkeypatch):
     assert counts == {"feed": steps, "process": 0, "clone": clones}
 
 
+def test_reach_past_two_to_the_horizon_leaves():
+    # 433,150 feeds, where the horizon has 2**40 leaves
+    report = oracle.verify_coin("1/3", 40, 4, force=True)
+    assert report.uniform and report.total == 1 and report.incomplete > 0
+
+
 @pytest.mark.parametrize("verify", [
     lambda bad: oracle.verify_coin(bad, 4, 1),
     lambda bad: oracle.verify_dice([bad, 1 - bad], 4, 1),
