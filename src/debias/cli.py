@@ -243,8 +243,6 @@ def _write_text(text: str, where: str, parser: _Parser) -> None:
 
 
 def _emit_stats(args, payload: dict, stats_file) -> None:
-    if stats_file is None and not args.stats:
-        return
     import json
 
     if stats_file is not None:
@@ -422,20 +420,21 @@ def _cmd_extract(args, parser: _Parser) -> int:
         _write_bits(carry, out, fmt, final=True)
         wall = time.perf_counter() - t0
 
-        _emit_stats(
-            args,
-            {
-                "mode": args.mode,
-                "depth": None if args.mode == "vonneumann" else args.depth,
-                "m": m,
-                "input_symbols": consumed,
-                "output_bits": written,
-                "messages_processed": getattr(session, "messages_total", consumed),
-                "tosses_per_bit_observed": consumed / written if written else None,
-                "wall_seconds": wall,
-            },
-            stats_file,
-        )
+        if args.stats or stats_file is not None:  # messages_total is a pass over the arena
+            _emit_stats(
+                args,
+                {
+                    "mode": args.mode,
+                    "depth": None if args.mode == "vonneumann" else args.depth,
+                    "m": m,
+                    "input_symbols": consumed,
+                    "output_bits": written,
+                    "messages_processed": getattr(session, "messages_total", consumed),
+                    "tosses_per_bit_observed": consumed / written if written else None,
+                    "wall_seconds": wall,
+                },
+                stats_file,
+            )
     if k is not None and written < k:
         print(f"debias: source exhausted after {consumed} symbols "
               f"with {written} of {k} requested bits", file=sys.stderr)

@@ -49,16 +49,29 @@ released bits.  A coin ``snapshot()`` fills only the per-node bit logs,
 since it keeps no view.
 
 One loop, :meth:`Arena.feed`, steps every coin, dice and Markov
-session.  It takes each item as a route, the tuple of ``(root, symbol
-code)`` deliveries the item makes, from the session class's ``_routes``:
-one fixed route per coin symbol, and one per face or (state, exit) pair,
-cached by the dice and Markov sessions.  It runs with the arena in locals,
-lets an empty root take its symbol without entering the cascade (about
-half of all coin symbols touch only the root), and stops as soon as the
-output reaches a requested length.  ``feed`` is the only path that steps
-a session: :meth:`Arena.process` is a one-item ``feed``, and
-:func:`take_bits` and the exact oracle of :mod:`debias.oracle` drive
-every session type in the package through ``feed``.
+session.  It iterates one flat stream of ``(root, symbol code)``
+deliveries from the session class's ``_deliveries``, and per delivery
+does only the node rules and the record of the bit's node: it counts
+neither items nor deliveries.  The stream counts the items, steps the
+counter trees, and stops after the item whose bits reach a requested
+length, so the loop learns nothing of items.  A coin ``str`` fed to the
+end is coded in C (``H`` -> 1, ``T`` -> 2) and paired with root 0, so no
+Python code runs per symbol outside the loop; anything else goes one
+symbol at a time.  The dice and Markov sessions flatten the cached
+routes of their faces and (state, exit) pairs.  The loop runs with the
+arena in locals, and lets an empty root take its symbol without entering
+the cascade (about half of all coin symbols touch only the root).
+``feed`` is the only path that steps a session: :meth:`Arena.process` is
+a one-item ``feed``, and :func:`take_bits` and the exact oracle of
+:mod:`debias.oracle` drive every session type in the package through
+``feed``.
+
+``messages_total``, the number of node deliveries, is derived from the
+arena on each read, in one pass over the nodes: a node with children
+received twice the symbols its left child received, plus one if it holds
+a pending symbol, and only a node at the cap keeps a count, of the pairs
+it completed.  :meth:`Arena.process` counts its one item's deliveries by
+a walk of the nodes the item delivered to.
 
 Every count, index and depth cap that a session, :func:`take_bits`,
 :func:`extract_bits`, a verifier of :mod:`debias.oracle` or an analysis
@@ -73,6 +86,8 @@ the items before it consumed.
 from __future__ import annotations
 
 import sys
+from itertools import repeat, zip_longest
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 HEADS = "H"
@@ -231,21 +246,25 @@ class Arena(Session):
     nothing and is fully described by the number of symbols it was fed.
     Such a tree holds no node: it is a count ``_count[c]``, reached through
     the negative root ``~c``, and :func:`counter_tree` builds its snapshot.
+    A subclass maps the key of each tree to its root in ``_roots``.
 
-    :meth:`feed` is the one loop that steps every subclass, on the routes
-    of the subclass's ``_routes``, and ``_fed`` counts the items it
-    consumed.  :meth:`process` is a one-item ``feed``.
+    :meth:`feed` is the one loop that steps every subclass, on the flat
+    stream of deliveries of the subclass's ``_deliveries``, which also
+    counts the items consumed in ``_fed``.  The loop keeps one number: the
+    pairs each node at the cap completed, in ``_pairs``, from which
+    :attr:`messages_total` is derived.  :meth:`process` is a one-item
+    ``feed``.
     """
 
     def __init__(self, depth_limit: int | None) -> None:
         check_depth_limit(depth_limit)
         self.depth_limit = depth_limit
         self.output: list[int] = []
-        self.messages_total = 0
         self._label: list[int] = []
         self._kids: list[int] = []
         self._src: list[int] = []
         self._count: list[int] = []
+        self._pairs: dict[int, int] = {}
         self._fed = 0
 
     def _new_root(self) -> int:
@@ -263,101 +282,123 @@ class Arena(Session):
 
     def process(self, item) -> StepResult:
         """Consume one item through ``feed``; return the bits it released
-        and the number of node deliveries it made."""
-        n0, m0 = len(self.output), self.messages_total
+        and the number of node deliveries it made.
+
+        An item delivers to a node at most once, and every delivery changes
+        the node's label, so the roots the item delivered to are those whose
+        label changed.  The label a delivery leaves tells what the node
+        forwarded: a pair's parity to the left child if it holds a bit, and
+        also the repeated symbol to the right if it is empty, none if it
+        holds ``H`` or ``T``.  So the deliveries are counted by a walk of the
+        nodes delivered to, plus the steps of the counter trees."""
+        label, kids, count = self._label, self._kids, self._count
+        roots = self._roots.values()  # a live view: it shows the roots the item makes
+        n0, counted = len(self.output), count.copy()
+        before = {r: label[r] for r in roots if r >= 0}
         self.feed((item,))
-        return StepResult(self.output[n0:], self.messages_total - m0)
+        todo = [r for r in roots if r >= 0 and label[r] != before.get(r, 0)]
+        for i in todo:  # grows by the children each delivered node forwarded to
+            k = kids[i]
+            if k > 0 and label[i] == 0:  # an equal pair: parity left, symbol right
+                todo += (k, k + 1)
+            elif k > 0 and label[i] > 2:  # an unequal pair: parity left
+                todo.append(k)
+        d, steps = self.depth_limit, 0
+        if count != counted:  # counter trees took a symbol each
+            for c0, c in zip_longest(counted, count, fillvalue=0):
+                if c != c0:  # the c-th reaches 2 * min(c & -c, 2**d) - 1 nodes
+                    low = c & -c
+                    steps += 2 * (low if d is None or low >> d < 2 else 1 << d) - 1
+        return StepResult(self.output[n0:], len(todo) + steps)
+
+    @property
+    def messages_total(self) -> int:
+        """Node deliveries made so far, derived from the arena in one pass.
+
+        A node at the cap keeps the number of pairs it completed in
+        ``_pairs``; every other node's count follows from its children:
+        it completed as many pairs as its left child received symbols
+        (none while it has no children), and it received two symbols per
+        pair, plus one if it holds a pending ``H`` or ``T``.  Children come
+        after their parent, so one backward pass gives every node's count.
+        A counter tree's count is a closed form of the symbols fed to it.
+        """
+        label, kids, pairs = self._label, self._kids, self._pairs
+        got = [0] * len(kids)  # the symbols each node received
+        for i in range(len(kids) - 1, -1, -1):
+            k = kids[i]
+            got[i] = 2 * (got[k] if k > 0 else pairs.get(i, 0)) + (0 < label[i] < 3)
+        d, total = self.depth_limit, sum(got)
+        for c in self._count:  # the 2**j nodes of level j got c >> j each, down to the cap
+            levels = c.bit_length() if d is None else min(c.bit_length(), d + 1)
+            total += sum(c >> j << j for j in range(levels))
+        return total
 
     def feed(self, items: Iterable, until: int | None = None) -> int:
         """Make the deliveries of each item in turn until ``items`` runs out
         or ``len(output)`` reaches ``until``; return the number of items
         consumed.
 
-        ``self._routes(items)`` maps each item to its route, the tuple of
-        ``(root, symbol code)`` deliveries it makes, in order, and raises at
-        a bad item, which leaves the session as it was after the items
-        before it.  Each delivery runs with everything it forwards,
-        depth first and left before right: a right child's symbol waits on
-        a stack while the left subtree runs, unless the child is empty and
-        so takes it at once (an empty node releases and forwards nothing,
-        so the order cannot show).  The ``c``-th symbol fed to a counter
-        tree makes ``2 * min(c & -c, 2**depth_limit) - 1`` deliveries: it
-        reaches all ``2**j`` nodes of level ``j`` when ``2**j`` divides
-        ``c``, down to the cap.  A cap of ``sys.maxsize.bit_length()``
-        levels or more counts as none, as ``c & -c <= c`` never gets there.
+        ``self._deliveries(items, stop)`` is one flat stream of ``(root,
+        symbol code)`` deliveries, item after item, and the loop makes them
+        and counts nothing.  The stream is the session's: it counts the
+        items in ``_fed``, steps the counter trees in ``_count``, stops
+        after the item that brings ``len(output)`` to ``stop``, pulling no
+        item past it, and raises at a bad item, which leaves the session as
+        it was after the items before it.  Each delivery runs with
+        everything it forwards, depth first and left before right: a right
+        child's symbol waits on a stack while the left subtree runs, unless
+        the child is empty and so takes it at once (an empty node releases
+        and forwards nothing, so the order cannot show).  A node at the cap
+        forwards nothing, and counts its pair in ``_pairs``.
         """
         out = self.output
         stop = _UNBOUNDED if until is None else until
         if len(out) >= stop:
             return 0
-        label, kids, src, count, grow = self._label, self._kids, self._src, self._count, self._grow
-        d = self.depth_limit
-        cap = _UNBOUNDED if d is None or d >= _UNBOUNDED.bit_length() else 1 << d
+        fed = self._fed
+        label, kids, src, pairs = self._label, self._kids, self._src, self._pairs
         stack: list[int] = []  # waiting right-child deliveries as flat (node, symbol) pairs
-        n = sent = 0  # items consumed; deliveries made
-        try:
-            for route in self._routes(items):
-                n += 1
-                for i, y in route:
-                    sent += 1
-                    if i < 0:  # a counter tree
-                        c = count[~i] = count[~i] + 1
-                        sent += 2 * min(c & -c, cap) - 2
-                        continue
-                    held = label[i]
-                    if not held:  # an empty root holds y; nothing else happens
-                        label[i] = y
-                        continue
-                    while True:  # deliver y to node i, which holds ``held``
-                        if held == 0 or held > 2:  # release any held bit, hold y
-                            if held:
-                                out.append(held - 3)
-                                src.append(i)
-                            label[i] = y
-                        else:
-                            k = kids[i]
-                            if k < _AT_CAP:
-                                k = grow(i)
-                            if held == y:  # equal pair: parity T to the left, y to the right
-                                label[i] = 0
-                                if k > 0:
-                                    sent += 2
-                                    if label[k + 1]:
-                                        stack.append(k + 1)
-                                        stack.append(y)
-                                    else:
-                                        label[k + 1] = y
-                                    i, y = k, 2
-                                    held = label[i]
-                                    continue
-                            else:  # unequal pair: hold bit 1 for HT, 0 for TH; parity H to the left
-                                label[i] = 5 - held
-                                if k > 0:
-                                    sent += 1
-                                    i, y = k, 1
-                                    held = label[i]
-                                    continue
-                        if not stack:
-                            break
-                        y = stack.pop()
-                        i = stack.pop()
+        for i, y in self._deliveries(items, stop):
+            held = label[i]
+            if not held:  # an empty root holds y; nothing else happens
+                label[i] = y
+                continue
+            while True:  # deliver y to node i, which holds ``held``
+                if held == 0 or held > 2:  # release any held bit, hold y
+                    if held:
+                        out.append(held - 3)
+                        src.append(i)
+                    label[i] = y
+                else:
+                    k = kids[i]
+                    if k == _AT_CAP:  # a pair at the cap: counted, nothing forwarded
+                        label[i] = 0 if held == y else 5 - held
+                        pairs[i] = pairs.get(i, 0) + 1
+                    else:
+                        if k < 0:  # its first pair: make its children, one level less room each
+                            kids += (k + 1, k + 1)
+                            k = kids[i] = len(label)
+                            label += (0, 0)
+                        if held == y:  # equal pair: parity T to the left, y to the right
+                            label[i] = 0
+                            if label[k + 1]:
+                                stack.append(k + 1)
+                                stack.append(y)
+                            else:
+                                label[k + 1] = y
+                            i, y = k, 2
+                        else:  # unequal pair: hold bit 1 for HT, 0 for TH; parity H to the left
+                            label[i] = 5 - held
+                            i, y = k, 1
                         held = label[i]
-                if len(out) >= stop:
+                        continue
+                if not stack:
                     break
-        finally:
-            self._fed += n
-            self.messages_total += sent
-        return n
-
-    def _grow(self, i: int) -> int:
-        """Allocate node ``i``'s pair of children, one level less room each;
-        return the left index."""
-        label, kids = self._label, self._kids
-        k = len(label)
-        label += (0, 0)
-        kids += (kids[i] + 1, kids[i] + 1)
-        kids[i] = k
-        return k
+                y = stack.pop()
+                i = stack.pop()
+                held = label[i]
+        return self._fed - fed
 
     def _read(self, forests: Sequence[Sequence[int]]) -> list[tuple[list[int], list[TreeView]]]:
         """Read the trees at ``forests``, lists of roots that together hold
@@ -417,11 +458,11 @@ class Arena(Session):
         dup = object.__new__(self.__class__)
         dup.depth_limit = self.depth_limit
         dup.output = self.output.copy()
-        dup.messages_total = self.messages_total
         dup._label = self._label.copy()
         dup._kids = self._kids.copy()
         dup._src = self._src.copy()
         dup._count = self._count.copy()
+        dup._pairs = self._pairs.copy()
         dup._fed = self._fed
         return dup
 
@@ -458,9 +499,9 @@ class TreeView(NamedTuple):
         return self.tree
 
 
-# The routes of the two symbols: one delivery each, to the root at index 0.
-_HEADS_ROUTE = ((0, 1),)
-_TAILS_ROUTE = ((0, 2),)
+# The code of each byte of an ASCII-encoded batch: 1 for ``H``, 2 for
+# ``T``, 0 for every other byte.
+_CODES = bytes(1 if b == ord(HEADS) else 2 if b == ord(TAILS) else 0 for b in range(256))
 
 
 class CoinExtractor(Arena):
@@ -476,6 +517,8 @@ class CoinExtractor(Arena):
     the one-tree case of :class:`Arena`, with its root at index 0.
     """
 
+    _roots = MappingProxyType({1: 0})  # its one tree, under a die forest's root slot key
+
     def __init__(self, depth_limit: int | None = None) -> None:
         super().__init__(depth_limit)
         self._new_root()
@@ -485,16 +528,36 @@ class CoinExtractor(Arena):
         """Symbols consumed so far."""
         return self._fed
 
-    def _routes(self, symbols: Iterable[str]) -> Iterator[tuple[tuple[int, int], ...]]:
-        """The route of each symbol; ``ValueError`` at one that is not
-        ``H``/``T``."""
-        for s in symbols:
-            if s == HEADS:
-                yield _HEADS_ROUTE
-            elif s == TAILS:
-                yield _TAILS_ROUTE
-            else:
-                raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
+    def _deliveries(self, symbols: Iterable[str], stop: int) -> Iterator[tuple[int, int]]:
+        """The delivery of each symbol to the root; ``ValueError`` at one
+        that is not ``H``/``T``.
+
+        A ``str`` fed to the end becomes its codes in C, checked in one
+        pass: the whole batch is consumed.  Any other input, a stop, or a
+        bad symbol takes the per-symbol path."""
+        if type(symbols) is str and stop == _UNBOUNDED:
+            codes = symbols.encode("ascii", "replace").translate(_CODES)
+            if 0 not in codes:
+                self._fed += len(codes)
+                return zip(repeat(0), codes)
+        return self._per_symbol(symbols, stop)
+
+    def _per_symbol(self, symbols: Iterable[str], stop: int) -> Iterator[tuple[int, int]]:
+        """The deliveries of ``symbols`` one at a time, counted as they end."""
+        out, n = self.output, 0
+        try:
+            for s in symbols:
+                if s == HEADS:
+                    yield 0, 1
+                elif s == TAILS:
+                    yield 0, 2
+                else:
+                    raise ValueError(f"symbol must be {HEADS!r} or {TAILS!r}, got {s!r}")
+                n += 1
+                if len(out) >= stop:
+                    return
+        finally:
+            self._fed += n
 
     def snapshot(self) -> TraceNode:
         """Immutable copy of the current tree (labels plus bit logs)."""

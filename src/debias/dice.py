@@ -16,10 +16,13 @@ that bit is delivered as symbol code 1 (``H``) or 2 (``T``).  One arena
 can hold several forests of the same width: forest ``q`` keeps slot
 ``s`` under the key ``q << w | s``.  A die session is forest 0; a
 :class:`debias.markov.MarkovExtractor` has one forest per state.  A
-face's deliveries are its route, a tuple of ``(root, symbol code)``
-pairs that the session builds on the face's first use and caches under
-``q << w | face``; the arena's one delivery loop,
-:meth:`debias.coin.Arena.feed`, makes them.  Building a route allocates
+face's route, built on the face's first use and cached under ``q << w |
+face``, holds the ``(root, symbol code)`` deliveries of its bits to node
+trees and the counter trees its other bits step.  The session's stream
+of deliveries steps those counters and flattens the node deliveries,
+face after face, into the arena's one delivery loop,
+:meth:`debias.coin.Arena.feed`, which counts nothing: the session counts
+the faces, and the arena derives the deliveries.  Building a route allocates
 the root of each slot the face is the first to reach, so slots are
 allocated in the order of their first delivery, through a dict keyed as
 above.  The slot layout, the route cache, the views and the copy of a
@@ -30,7 +33,7 @@ whose word starts with the slot's prefix has bit 0 next (slot ``H`` for
 ``m = 3``, slots ``H`` and ``HT`` for ``m = 5``).  Such a tree is only
 ever fed ``T``, so it never releases a bit, and the arena keeps it as a
 count of the symbols fed to it, with no node (see
-:func:`debias.coin.counter_tree`).
+:func:`debias.coin.counter_tree`), which the session's stream steps.
 
 No H/T word is built on this path; :func:`binarize` and
 :func:`prefix_stream` are the string forms of the same slicing.
@@ -108,7 +111,8 @@ class _Forests(Arena):
 
     ``_roots`` maps each used key to its root, in the order of the slots'
     first deliveries, and ``_route_of`` maps ``base | face`` to the face's
-    route in the forest at ``base``.
+    route in the forest at ``base``: its node deliveries and its counter
+    trees (see :meth:`_route`).
     """
 
     def __init__(self, m: int, depth_limit: int | None = None) -> None:
@@ -118,17 +122,18 @@ class _Forests(Arena):
         self._roots: dict[int, int] = {}  # base | slot -> root index
         self._route_of: dict[int, tuple] = {}  # base | face -> its route
 
-    def _route(self, base: int, face: int) -> tuple[tuple[int, int], ...]:
+    def _route(self, base: int, face: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
         """Build and cache the route of ``face`` in the forest at ``base``:
-        the ``(root, symbol code)`` deliveries of its bits, position 0
-        first, for :meth:`Arena.feed`.
+        the ``(root, symbol code)`` deliveries of its bits to node trees,
+        position 0 first, and the indices in ``_count`` of the counter
+        trees its other bits step.
 
         Each slot the face is the first to reach gets its root here, a
         counter tree if every face with the slot's prefix has the next bit
         0, a node otherwise.
         """
         roots, m, w = self._roots, self.m, self.width
-        route = []
+        nodes, counters = [], []
         slot = 1
         for sh in range(w - 1, -1, -1):
             key = base | slot
@@ -138,9 +143,12 @@ class _Forests(Arena):
                 fixed = m <= first + (1 << sh)  # no face with the prefix has the next bit 1
                 r = roots[key] = self._new_counter() if fixed else self._new_root()
             bit = face >> sh & 1
-            route.append((r, 2 - bit))
+            if r < 0:
+                counters.append(~r)
+            else:
+                nodes.append((r, 2 - bit))
             slot = slot << 1 | bit
-        return self._route_of.setdefault(base | face, tuple(route))
+        return self._route_of.setdefault(base | face, (tuple(nodes), tuple(counters)))
 
     def _trees_by_forest(self) -> dict[int, tuple[list[int], dict[str, TreeView]]]:
         """Per forest ``q``, from one read of the arena: the bits its trees
@@ -181,14 +189,21 @@ class DiceExtractor(_Forests):
     def trees(self) -> dict[str, TreeView]:
         return self._trees_by_forest().get(0, ([], {}))[1]
 
-    def _routes(self, faces: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        """The route of each face, built on the face's first use; a face
-        outside ``0..m-1`` raises ``ValueError``."""
-        m, routes = self.m, self._route_of
-        for face in faces:
-            if type(face) is not int or not 0 <= face < m:  # full check off the fast path
-                _check_face(face, m)
-            route = routes.get(face)
-            if route is None:
-                route = self._route(0, face)
-            yield route
+    def _deliveries(self, faces: Iterable[int], stop: int) -> Iterator[tuple[int, int]]:
+        """The node deliveries of each face, from its route; a face outside
+        ``0..m-1`` raises ``ValueError``."""
+        m, routes, count, out = self.m, self._route_of, self._count, self.output
+        n = 0
+        try:
+            for face in faces:
+                if type(face) is not int or not 0 <= face < m:  # full check off the fast path
+                    _check_face(face, m)
+                n += 1
+                nodes, counters = routes.get(face) or self._route(0, face)
+                for c in counters:
+                    count[c] += 1
+                yield from nodes
+                if len(out) >= stop:
+                    return
+        finally:
+            self._fed += n

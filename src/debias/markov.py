@@ -16,7 +16,11 @@ correlated with its past.
 All forests of a session share one arena: state ``q``'s forest is the
 die forest of :mod:`debias.dice` at base ``q << w``, ``w`` being the word
 width, so its slots, routes (one per state and exit), counter trees and
-views are those of a die session.  Nothing is sized by ``n_states``, so
+views are those of a die session.  The session's stream of deliveries
+moves ``pending`` on, counts the steps and each state's exits, steps the
+counter trees, and feeds the node deliveries of each delivered exit,
+flat, to the arena's one loop, :meth:`debias.coin.Arena.feed`, which
+counts nothing.  Nothing is sized by ``n_states``, so
 a large state space costs only what the walk visits.  ``pending`` maps
 each state left so far to its parked exit, and ``forests`` each state
 to a :class:`ForestView`: each access reads every tree in one pass, in
@@ -111,31 +115,36 @@ class MarkovExtractor(_Forests):
         """Steps of the walk consumed so far."""
         return self._fed
 
-    def _routes(self, states: Iterable[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        """Per step, the route of the parked exit it delivers, or an empty
-        route; ``pending`` and ``last_state`` move on before each yield.
+    def _deliveries(self, states: Iterable[int], stop: int) -> Iterator[tuple[int, int]]:
+        """Per step, the node deliveries of the parked exit it delivers, if
+        any, from its route; ``pending`` and ``last_state`` move on first.
         An unknown state raises :class:`UnknownState`."""
-        pending, faces, routes = self.pending, self._faces, self._route_of
-        n_states, w = self.m, self.width
-        for state in states:
-            if type(state) is not int or not 0 <= state < n_states:  # off the fast path
-                if not (_is_count(state) and state < n_states):
-                    raise UnknownState(state, n_states)
-            prev, self.last_state = self.last_state, state
-            if prev is None:
-                yield ()
-                continue
-            parked = pending.get(prev)
-            pending[prev] = state
-            if parked is None:  # first exit from prev: park it, deliver nothing
-                faces[prev] = 0
-                yield ()
-                continue
-            faces[prev] += 1
-            route = routes.get(prev << w | parked)
-            if route is None:
-                route = self._route(prev << w, parked)
-            yield route
+        pending, faces, routes, count = self.pending, self._faces, self._route_of, self._count
+        n_states, w, out = self.m, self.width, self.output
+        n = 0
+        try:
+            for state in states:
+                if type(state) is not int or not 0 <= state < n_states:  # off the fast path
+                    if not (_is_count(state) and state < n_states):
+                        raise UnknownState(state, n_states)
+                n += 1
+                prev, self.last_state = self.last_state, state
+                if prev is None:
+                    continue
+                parked = pending.get(prev)
+                pending[prev] = state
+                if parked is None:  # first exit from prev: park it, deliver nothing
+                    faces[prev] = 0
+                    continue
+                faces[prev] += 1
+                nodes, counters = routes.get(prev << w | parked) or self._route(prev << w, parked)
+                for c in counters:
+                    count[c] += 1
+                yield from nodes
+                if len(out) >= stop:
+                    return
+        finally:
+            self._fed += n
 
     def clone(self) -> MarkovExtractor:
         """Independent copy; processing one never affects the other."""

@@ -6,17 +6,22 @@ slot, keyed by the slot's H/T prefix, and feeds it one ``binarize``d
 symbol at a time.  ``MarkovExtractor`` builds one ``DiceExtractor`` per
 state.  Both drain through the per-item ``feed`` of ``PerItem``, which
 calls ``process`` once per item.  The class bodies are the package's
-implementation before the shared arena; only the imports and the base
-class differ.
+implementation before the shared arena; only the imports, the base
+class and the message count differ.  The arena derives its message
+counts, ``CoinExtractor.process`` included, so each slot here also keeps
+a ``node_update_walker`` tree, which counts every delivery it makes, and
+the messages are that walker's count.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable
 
 from debias.coin import CoinExtractor, Session, StepResult, check_depth_limit
 from debias.dice import binarize, face_width
 from debias.markov import UnknownState
+from node_update_walker import RefNode, ref_deliver
 
 
 class PerItem(Session):
@@ -54,6 +59,7 @@ class DiceExtractor(PerItem):
         check_depth_limit(depth_limit)
         self.depth_limit = depth_limit
         self.trees: dict[str, CoinExtractor] = {}
+        self.walkers: dict[str, RefNode] = {}  # per slot, the tree that counts its deliveries
         self.output: list[int] = []
         self.faces_consumed = 0
         self.messages_total = 0
@@ -67,9 +73,10 @@ class DiceExtractor(PerItem):
             tree = self.trees.get(word[:i])
             if tree is None:
                 tree = self.trees[word[:i]] = CoinExtractor(self.depth_limit)
+                self.walkers[word[:i]] = RefNode()
             step = tree.process(symbol)
             released.extend(step.bits)
-            messages += step.messages
+            messages += ref_deliver(self.walkers[word[:i]], symbol, self.depth_limit, [])
         self.output.extend(released)
         self.faces_consumed += 1
         self.messages_total += messages
@@ -78,6 +85,7 @@ class DiceExtractor(PerItem):
     def clone(self) -> DiceExtractor:
         dup = DiceExtractor(self.m, self.depth_limit)
         dup.trees = {k: t.clone() for k, t in self.trees.items()}
+        dup.walkers = copy.deepcopy(self.walkers)
         dup.output = self.output.copy()
         dup.faces_consumed = self.faces_consumed
         dup.messages_total = self.messages_total

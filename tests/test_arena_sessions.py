@@ -231,6 +231,12 @@ def test_one_feed_and_one_clone_serve_every_arena_session():
     assert CoinExtractor.clone is Arena.clone
 
 
+def test_the_delivery_loop_counts_no_message():
+    # every message count is derived from the arena: the loop keeps no
+    # count of deliveries, and the streams step the counter trees
+    assert not {"messages_total", "_count"} & set(Arena.feed.__code__.co_names)
+
+
 def test_dice_and_markov_share_one_die_forest():
     # the first class both sessions inherit from holds the forest: slot
     # layout, route cache and the copy of the forest fields

@@ -8,20 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debias.coin import (
-    EMPTY,
-    HEADS,
-    TAILS,
-    CoinExtractor,
-    SourceExhausted,
-    TraceNode,
-    extract_bits,
-    node_update,
-    take_bits,
-)
+from debias.coin import HEADS, TAILS, CoinExtractor, SourceExhausted, extract_bits, take_bits
 from debias.dice import DiceExtractor
 from debias.markov import MarkovExtractor
 from debias.vonneumann import VonNeumannExtractor
+from node_update_walker import RefNode, ref_deliver
 
 DEPTHS = [None, 0, 1, 3, 15]
 ht_strings = st.text(alphabet="HT", max_size=200)
@@ -119,6 +110,25 @@ def test_bad_symbol_leaves_the_session_after_its_prefix(xs, ys, bad, depth):
     assert state(fed) == state(ref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    xs=ht_strings,
+    ys=ht_strings,
+    bad=st.sampled_from(["X", "h", "\x00", "\x01", "\x02", "é", "\ud800", " "]),
+    depth=st.sampled_from(DEPTHS),
+)
+def test_bad_character_in_a_str_leaves_the_session_after_its_prefix(xs, ys, bad, depth):
+    # a str fed to the end is checked as a whole before any delivery
+    fed, ref = CoinExtractor(depth), CoinExtractor(depth)
+    with pytest.raises(ValueError, match="symbol must be"):
+        fed.feed(xs + bad + ys)
+    ref.feed(list(xs))
+    assert state(fed) == state(ref)
+    assert fed.feed(ys) == len(ys)
+    ref.feed(list(ys))
+    assert state(fed) == state(ref)
+
+
 SESSIONS = {
     "dice": (lambda: DiceExtractor(3, 2), lambda rng: rng.randrange(3)),
     "markov": (lambda: MarkovExtractor(3, 2), lambda rng: rng.randrange(3)),
@@ -208,51 +218,38 @@ def test_extract_bits_of_zero_pulls_no_symbol():
     assert source.pulled == 0
 
 
-class _RefNode:
-    def __init__(self, depth: int) -> None:
-        self.label = EMPTY
-        self.depth = depth
-        self.log: list[int] = []
-        self.kids: tuple[_RefNode, _RefNode] | None = None
-
-    def trace(self) -> TraceNode:
-        left, right = self.kids if self.kids else (None, None)
-        return TraceNode(
-            self.label,
-            tuple(self.log),
-            left.trace() if left else None,
-            right.trace() if right else None,
-        )
-
-
-def _ref_deliver(node: _RefNode, symbol: str, limit, bits: list[int]) -> int:
-    """Recursive delivery using ``node_update`` for every transition;
-    returns the number of deliveries."""
-    upd = node_update(node.label, symbol)
-    node.label = upd.label
-    if upd.bit is not None:
-        node.log.append(upd.bit)
-        bits.append(upd.bit)
-    messages = 1
-    if upd.to_left is not None and (limit is None or node.depth < limit):
-        if node.kids is None:
-            node.kids = (_RefNode(node.depth + 1), _RefNode(node.depth + 1))
-        messages += _ref_deliver(node.kids[0], upd.to_left, limit, bits)
-        if upd.to_right is not None:
-            messages += _ref_deliver(node.kids[1], upd.to_right, limit, bits)
-    return messages
-
-
-@pytest.mark.parametrize("depth", [0, 2, None])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 15, None])
 @pytest.mark.parametrize("seed", range(8))
 def test_int_core_matches_node_update_walker(depth, seed):
     rng = random.Random(seed)
     p = rng.choice([0.1, 0.3, 0.5, 0.8])
     xs = [HEADS if rng.random() < p else TAILS for _ in range(rng.randrange(50, 600))]
-    core, root = CoinExtractor(depth), _RefNode(0)
+    core, root = CoinExtractor(depth), RefNode()
     for s in xs:
         bits: list[int] = []
-        messages = _ref_deliver(root, s, depth, bits)
+        messages = ref_deliver(root, s, depth, bits)
         step = core.process(s)
         assert (step.bits, step.messages) == (bits, messages)
+    assert core.snapshot() == root.trace()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 15, None])
+@pytest.mark.parametrize("seed", range(8))
+def test_derived_message_count_matches_node_update_walker_after_every_chunk(depth, seed):
+    # at depth 0 to 3 most pairs are completed at the cap, whose pair count
+    # is the one number the loop keeps
+    rng = random.Random(seed)
+    p = rng.choice([0.1, 0.3, 0.5, 0.8])
+    xs = "".join(HEADS if rng.random() < p else TAILS for _ in range(rng.randrange(200, 3000)))
+    core, root, bits = CoinExtractor(depth), RefNode(), []
+    messages = pos = 0
+    while pos < len(xs):
+        end = rng.randint(pos + 1, min(len(xs), pos + 400))
+        until = rng.choice([None, len(core.output) + rng.randrange(-2, 60)])
+        n = core.feed(xs[pos:end], until)
+        for s in xs[pos : pos + n]:
+            messages += ref_deliver(root, s, depth, bits)
+        assert core.messages_total == messages
+        assert core.output == bits
+        pos = pos + n if n else end  # a chunk fed to neither is dropped
     assert core.snapshot() == root.trace()
