@@ -57,21 +57,28 @@ counter trees, and stops after the item whose bits reach a requested
 length, so the loop learns nothing of items.  A coin ``str`` fed to the
 end is coded in C (``H`` -> 1, ``T`` -> 2) and paired with root 0, so no
 Python code runs per symbol outside the loop; anything else goes one
-symbol at a time.  The dice and Markov sessions flatten the cached
-routes of their faces and (state, exit) pairs.  The loop runs with the
-arena in locals, and lets an empty root take its symbol without entering
-the cascade (about half of all coin symbols touch only the root).
+symbol at a time.  The dice and Markov sessions share one stream, which
+flattens the cached route of each face or delivered (state, exit) pair
+(see :mod:`debias.dice`).  The loop runs with the arena in locals, and
+lets an empty root take its symbol without entering the cascade (about
+half of all coin symbols touch only the root).
 ``feed`` is the only path that steps a session: :meth:`Arena.process` is
 a one-item ``feed``, and :func:`take_bits` and the exact oracle of
 :mod:`debias.oracle` drive every session type in the package through
 ``feed``.
 
 ``messages_total``, the number of node deliveries, is derived from the
-arena on each read, in one pass over the nodes: a node with children
-received twice the symbols its left child received, plus one if it holds
-a pending symbol, and only a node at the cap keeps a count, of the pairs
-it completed.  :meth:`Arena.process` counts its one item's deliveries by
-a walk of the nodes the item delivered to.
+arena on each read.  One backward pass over the nodes,
+:meth:`Arena._received`, gives the symbols each node received: a node
+with children received twice the symbols its left child received, plus
+one if it holds a pending symbol, and only a node at the cap keeps a
+count, of the pairs it completed.  ``messages_total`` sums it, and a
+Markov forest's ``faces_consumed`` reads it at the forest's root.  One
+closed form, :func:`_counter_deliveries`, gives the deliveries the
+symbols fed to a counter tree made: ``messages_total`` adds it for each
+counter tree, and :meth:`Arena.process` takes its difference across the
+item, whose node deliveries it counts by a walk of the nodes the item
+delivered to.
 
 Every count, index and depth cap that a session, :func:`take_bits`,
 :func:`extract_bits`, a verifier of :mod:`debias.oracle` or an analysis
@@ -303,17 +310,20 @@ class Arena(Session):
                 todo += (k, k + 1)
             elif k > 0 and label[i] > 2:  # an unequal pair: parity left
                 todo.append(k)
-        d, steps = self.depth_limit, 0
-        if count != counted:  # counter trees took a symbol each
-            for c0, c in zip_longest(counted, count, fillvalue=0):
-                if c != c0:  # the c-th reaches 2 * min(c & -c, 2**d) - 1 nodes
-                    low = c & -c
-                    steps += 2 * (low if d is None or low >> d < 2 else 1 << d) - 1
+        d = self.depth_limit
+        steps = sum(_counter_deliveries(c, d) - _counter_deliveries(c0, d)
+                    for c0, c in zip_longest(counted, count, fillvalue=0) if c != c0)
         return StepResult(self.output[n0:], len(todo) + steps)
 
     @property
     def messages_total(self) -> int:
-        """Node deliveries made so far, derived from the arena in one pass.
+        """Node deliveries made so far, derived from the arena in one pass
+        (see :meth:`_received`) plus the closed form of each counter tree."""
+        d = self.depth_limit
+        return sum(self._received()) + sum(_counter_deliveries(c, d) for c in self._count)
+
+    def _received(self) -> list[int]:
+        """The number of symbols each node received, in one backward pass.
 
         A node at the cap keeps the number of pairs it completed in
         ``_pairs``; every other node's count follows from its children:
@@ -321,18 +331,13 @@ class Arena(Session):
         (none while it has no children), and it received two symbols per
         pair, plus one if it holds a pending ``H`` or ``T``.  Children come
         after their parent, so one backward pass gives every node's count.
-        A counter tree's count is a closed form of the symbols fed to it.
         """
         label, kids, pairs = self._label, self._kids, self._pairs
-        got = [0] * len(kids)  # the symbols each node received
+        got = [0] * len(kids)
         for i in range(len(kids) - 1, -1, -1):
             k = kids[i]
             got[i] = 2 * (got[k] if k > 0 else pairs.get(i, 0)) + (0 < label[i] < 3)
-        d, total = self.depth_limit, sum(got)
-        for c in self._count:  # the 2**j nodes of level j got c >> j each, down to the cap
-            levels = c.bit_length() if d is None else min(c.bit_length(), d + 1)
-            total += sum(c >> j << j for j in range(levels))
-        return total
+        return got
 
     def feed(self, items: Iterable, until: int | None = None) -> int:
         """Make the deliveries of each item in turn until ``items`` runs out
@@ -465,6 +470,14 @@ class Arena(Session):
         dup._pairs = self._pairs.copy()
         dup._fed = self._fed
         return dup
+
+
+def _counter_deliveries(fed: int, depth_limit: int | None) -> int:
+    """Node deliveries made by ``fed`` symbols ``T`` fed to a counter tree
+    with the given depth cap: the ``2**j`` nodes of level ``j`` get
+    ``fed >> j`` symbols each, down to the cap."""
+    levels = fed.bit_length() if depth_limit is None else min(fed.bit_length(), depth_limit + 1)
+    return sum(fed >> j << j for j in range(levels))
 
 
 def counter_tree(fed: int, depth_limit: int | None) -> TraceNode:

@@ -18,22 +18,24 @@ can hold several forests of the same width: forest ``q`` keeps slot
 :class:`debias.markov.MarkovExtractor` has one forest per state.  A
 face's route, built on the face's first use and cached under ``q << w |
 face``, holds the ``(root, symbol code)`` deliveries of its bits to node
-trees and the counter trees its other bits step.  The session's stream
-of deliveries steps those counters and flattens the node deliveries,
-face after face, into the arena's one delivery loop,
-:meth:`debias.coin.Arena.feed`, which counts nothing: the session counts
-the faces, and the arena derives the deliveries.  Building a route allocates
-the root of each slot the face is the first to reach, so slots are
-allocated in the order of their first delivery, through a dict keyed as
-above.  The slot layout, the route cache, the views and the copy of a
-forest are defined once, in the private base both sessions share.
+trees and the counter trees its other bits step.  Both sessions share
+one item stream: per item it steps the counters of the item's route,
+flattens the route's node deliveries into the arena's one delivery loop,
+:meth:`debias.coin.Arena.feed`, which counts nothing, counts the item,
+and stops after the item whose bits reach the requested length.  A die
+session supplies only the cached route of each checked face, and the
+arena derives the deliveries.  Building a route allocates the root of
+each slot the face is the first to reach, so slots are allocated in the
+order of their first delivery, through a dict keyed as above.  The slot layout, the route cache, the item stream, the views and
+the copy of a forest are defined once, in the private base both sessions
+share.
 
 Unless ``m`` is a power of two, some slots are fixed-bit: every face
 whose word starts with the slot's prefix has bit 0 next (slot ``H`` for
 ``m = 3``, slots ``H`` and ``HT`` for ``m = 5``).  Such a tree is only
 ever fed ``T``, so it never releases a bit, and the arena keeps it as a
 count of the symbols fed to it, with no node (see
-:func:`debias.coin.counter_tree`), which the session's stream steps.
+:func:`debias.coin.counter_tree`), which the item stream steps.
 
 No H/T word is built on this path; :func:`binarize` and
 :func:`prefix_stream` are the string forms of the same slicing.
@@ -112,7 +114,9 @@ class _Forests(Arena):
     ``_roots`` maps each used key to its root, in the order of the slots'
     first deliveries, and ``_route_of`` maps ``base | face`` to the face's
     route in the forest at ``base``: its node deliveries and its counter
-    trees (see :meth:`_route`).
+    trees (see :meth:`_route`).  A subclass supplies only ``_routes``, the
+    route of each item it is fed, to the one item stream,
+    :meth:`_deliveries`.
     """
 
     def __init__(self, m: int, depth_limit: int | None = None) -> None:
@@ -149,6 +153,25 @@ class _Forests(Arena):
                 nodes.append((r, 2 - bit))
             slot = slot << 1 | bit
         return self._route_of.setdefault(base | face, (tuple(nodes), tuple(counters)))
+
+    def _deliveries(self, items: Iterable, stop: int) -> Iterator[tuple[int, int]]:
+        """The one item stream of both sessions: for the route that
+        ``_routes`` gives each item, step its counter trees, yield its node
+        deliveries and count the item in ``_fed``; stop after the item that
+        brings ``len(output)`` to ``stop``.  A bad item raises from
+        ``_routes``, with the items before it counted."""
+        count, out = self._count, self.output
+        n = 0
+        try:
+            for nodes, counters in self._routes(items):
+                n += 1
+                for c in counters:
+                    count[c] += 1
+                yield from nodes
+                if len(out) >= stop:
+                    return
+        finally:
+            self._fed += n
 
     def _trees_by_forest(self) -> dict[int, tuple[list[int], dict[str, TreeView]]]:
         """Per forest ``q``, from one read of the arena: the bits its trees
@@ -189,21 +212,11 @@ class DiceExtractor(_Forests):
     def trees(self) -> dict[str, TreeView]:
         return self._trees_by_forest().get(0, ([], {}))[1]
 
-    def _deliveries(self, faces: Iterable[int], stop: int) -> Iterator[tuple[int, int]]:
-        """The node deliveries of each face, from its route; a face outside
-        ``0..m-1`` raises ``ValueError``."""
-        m, routes, count, out = self.m, self._route_of, self._count, self.output
-        n = 0
-        try:
-            for face in faces:
-                if type(face) is not int or not 0 <= face < m:  # full check off the fast path
-                    _check_face(face, m)
-                n += 1
-                nodes, counters = routes.get(face) or self._route(0, face)
-                for c in counters:
-                    count[c] += 1
-                yield from nodes
-                if len(out) >= stop:
-                    return
-        finally:
-            self._fed += n
+    def _routes(self, faces: Iterable[int]) -> Iterator[tuple]:
+        """The route of each face; a face outside ``0..m-1`` raises
+        ``ValueError``."""
+        m, routes = self.m, self._route_of
+        for face in faces:
+            if type(face) is not int or not 0 <= face < m:  # full check off the fast path
+                _check_face(face, m)
+            yield routes.get(face) or self._route(0, face)

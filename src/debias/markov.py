@@ -16,16 +16,20 @@ correlated with its past.
 All forests of a session share one arena: state ``q``'s forest is the
 die forest of :mod:`debias.dice` at base ``q << w``, ``w`` being the word
 width, so its slots, routes (one per state and exit), counter trees and
-views are those of a die session.  The session's stream of deliveries
-moves ``pending`` on, counts the steps and each state's exits, steps the
-counter trees, and feeds the node deliveries of each delivered exit,
-flat, to the arena's one loop, :meth:`debias.coin.Arena.feed`, which
-counts nothing.  Nothing is sized by ``n_states``, so
-a large state space costs only what the walk visits.  ``pending`` maps
-each state left so far to its parked exit, and ``forests`` each state
-to a :class:`ForestView`: each access reads every tree in one pass, in
-time linear in the nodes plus the released bits, into records that keep
-the values of that access.
+views are those of a die session, and so is its item stream, which
+counts the steps, steps the counter trees and feeds the node deliveries,
+flat, to the arena's one loop, :meth:`debias.coin.Arena.feed`.  The
+session adds only the lag: per step it moves ``pending`` and
+``last_state`` on and gives the stream the route of the parked exit the
+step delivers, or an empty route.  It keeps no exit count: every exit
+delivered to a state's forest reaches the forest's root slot, which is
+never a counter tree, so the symbols that root received, read from the
+arena, are the forest's ``faces_consumed``.  Nothing is sized by
+``n_states``, so a large state space costs only what the walk visits.
+``pending`` maps each state left so far to its parked exit, and
+``forests`` each state to a :class:`ForestView`: each access reads every
+tree in one pass, in time linear in the nodes plus the released bits,
+into records that keep the values of that access.
 
 ``n_states`` and every state are ints, not bools, as every count and
 index in the package is.  A bad ``n_states`` or depth cap raises
@@ -40,6 +44,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coin import TreeView, _is_count
 from .dice import _Forests
+
+
+_NO_ROUTE = ((), ())  # the route of a step that delivers nothing
 
 
 class UnknownState(ValueError):
@@ -98,7 +105,6 @@ class MarkovExtractor(_Forests):
         super().__init__(n_states, depth_limit)
         self.pending: dict[int, int] = {}
         self.last_state: int | None = None
-        self._faces: dict[int, int] = {}  # state -> exits delivered to its forest
 
     @property
     def n_states(self) -> int:
@@ -107,49 +113,38 @@ class MarkovExtractor(_Forests):
 
     @property
     def forests(self) -> dict[int, ForestView]:
+        got, roots, w = self._received(), self._roots, self.width  # root slot q << w | 1: never a counter
         by_state = self._trees_by_forest()
-        return {q: ForestView(self._faces[q], trees, bits) for q, (bits, trees) in by_state.items()}
+        return {q: ForestView(got[roots[q << w | 1]], trees, bits) for q, (bits, trees) in by_state.items()}
 
     @property
     def symbols_consumed(self) -> int:
         """Steps of the walk consumed so far."""
         return self._fed
 
-    def _deliveries(self, states: Iterable[int], stop: int) -> Iterator[tuple[int, int]]:
-        """Per step, the node deliveries of the parked exit it delivers, if
-        any, from its route; ``pending`` and ``last_state`` move on first.
-        An unknown state raises :class:`UnknownState`."""
-        pending, faces, routes, count = self.pending, self._faces, self._route_of, self._count
-        n_states, w, out = self.m, self.width, self.output
-        n = 0
-        try:
-            for state in states:
-                if type(state) is not int or not 0 <= state < n_states:  # off the fast path
-                    if not (_is_count(state) and state < n_states):
-                        raise UnknownState(state, n_states)
-                n += 1
-                prev, self.last_state = self.last_state, state
-                if prev is None:
-                    continue
-                parked = pending.get(prev)
-                pending[prev] = state
-                if parked is None:  # first exit from prev: park it, deliver nothing
-                    faces[prev] = 0
-                    continue
-                faces[prev] += 1
-                nodes, counters = routes.get(prev << w | parked) or self._route(prev << w, parked)
-                for c in counters:
-                    count[c] += 1
-                yield from nodes
-                if len(out) >= stop:
-                    return
-        finally:
-            self._fed += n
+    def _routes(self, states: Iterable[int]) -> Iterator[tuple]:
+        """Per step, the route of the parked exit it delivers, or an empty
+        route if it delivers none; ``pending`` and ``last_state`` move on
+        first.  An unknown state raises :class:`UnknownState`."""
+        pending, routes, n_states, w = self.pending, self._route_of, self.m, self.width
+        for state in states:
+            if type(state) is not int or not 0 <= state < n_states:  # off the fast path
+                if not (_is_count(state) and state < n_states):
+                    raise UnknownState(state, n_states)
+            prev, self.last_state = self.last_state, state
+            if prev is None:  # the walk's start: nothing to deliver
+                yield _NO_ROUTE
+                continue
+            parked = pending.get(prev)
+            pending[prev] = state
+            if parked is None:  # first exit from prev: park it, deliver nothing
+                yield _NO_ROUTE
+            else:
+                yield routes.get(prev << w | parked) or self._route(prev << w, parked)
 
     def clone(self) -> MarkovExtractor:
         """Independent copy; processing one never affects the other."""
         dup = super().clone()
         dup.pending = self.pending.copy()
         dup.last_state = self.last_state
-        dup._faces = self._faces.copy()
         return dup

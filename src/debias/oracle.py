@@ -12,10 +12,12 @@ exactly 1 or the accounting itself is broken.
 
 Arithmetic is exact throughout, and done on integers.  Every move
 probability is a multiple of ``1/den``, with ``den`` the least common
-multiple of their denominators, so a branch ``t`` moves deep carries its
-weight as an ``int`` numerator over ``den**t``, and stopped and incomplete
-masses are summed as numerators over ``den**horizon``.  They become
-:class:`fractions.Fraction` values once, in the :class:`UniformityReport`.
+multiple of their denominators, so every branch carries its weight as an
+``int`` numerator over ``den**horizon``: the walk's root weighs
+``den**horizon``, and each move divides a weight by ``den`` and multiplies
+it by the move's numerator, so a stopped or incomplete branch adds its
+weight as it is.  The masses become :class:`fractions.Fraction` values
+once, in the :class:`UniformityReport`.
 
 The stopping prefixes explored this way are mutually prefix-free: once a
 branch stops, none of its extensions are walked.  Open branches wait on
@@ -177,16 +179,14 @@ def _enumerate(
 
     first = numerators(first_moves)
     after = {x: numerators(moves) for x, moves in next_moves.items()}
-    # A branch that stops with steps_left moves to go is over den**(horizon -
-    # steps_left + 1); times rescale[steps_left] it is over den**horizon.
-    rescale = [0] + [den**j for j in range(horizon)]
+    scale = den**horizon
     sums = {format(i, f"0{k}b"): 0 for i in range(2**k)}
     incomplete = taken = 0
 
     # Depth-first with clone-on-branch.  Each open branch is a (session,
     # weight, moves, steps_left) entry on a list; its last move reuses the
     # session, so a straight-line walk allocates nothing extra.
-    branches = [(root, 1, first, horizon)]
+    branches = [(root, scale, first, horizon)]
     while branches:
         taken += 1
         if taken > budget:
@@ -196,14 +196,13 @@ def _enumerate(
         for i, (x, num) in enumerate(moves):
             child = session.clone() if i < last else session
             child.feed((x,))
-            w = weight * num
+            w = weight // den * num
             if len(child.output) >= k:
-                sums["".join(map(str, child.output[:k]))] += w * rescale[steps_left]
+                sums["".join(map(str, child.output[:k]))] += w
             elif steps_left == 1:
                 incomplete += w
             else:
                 branches.append((child, w, after[x], steps_left - 1))
-    scale = den**horizon
     return {pattern: Fraction(v, scale) for pattern, v in sums.items()}, Fraction(incomplete, scale)
 
 

@@ -247,6 +247,12 @@ def test_dice_and_markov_share_one_die_forest():
     markov_copies = MarkovExtractor.clone.__code__.co_names
     assert not {"m", "width", "_roots", "_route_of"} & set(markov_copies)
     assert not issubclass(MarkovExtractor, DiceExtractor)
+    # the base holds the one item stream too: each session supplies only the
+    # route of each item, and a chain's copy holds only its lag, no count
+    assert "_deliveries" in vars(forests)
+    assert "_deliveries" not in vars(DiceExtractor) and "_deliveries" not in vars(MarkovExtractor)
+    assert {"pending", "last_state"} <= set(markov_copies)
+    assert not {"_faces", "_fed", "_count"} & set(markov_copies)
 
 
 @pytest.mark.parametrize("kind", ["coin", "dice", "markov"])

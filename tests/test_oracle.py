@@ -126,6 +126,8 @@ def test_markov_validation():
         verify_markov(((F(1, 2), F(1, 2)), (F(1), F(0))), 2, 4, 1)
     with pytest.raises(ValueError):
         verify_markov(((F(1, 2),), (F(1), F(0))), 0, 4, 1)
+    with pytest.raises(ValueError, match=r"^matrix row 1 has 3 entries, expected 2$"):
+        verify_markov([["1/2", "1/2"], ["1/3", "1/3", "1/3"]], 0, 4, 1)
 
 
 def test_dice_validation():
