@@ -263,7 +263,7 @@ def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None
     mode = args.mode
     if args.stats_file == "-":
         parser.error("--stats-file needs a path; pass --stats for the statistics on stderr")
-    if args.state_order and mode != "markov":
+    if args.state_order is not None and mode != "markov":
         parser.error("--state-order only applies to --mode markov")
     if mode in ("coin", "vonneumann"):
         if args.m is not None:
@@ -274,7 +274,7 @@ def _extract_config(args, parser: _Parser) -> tuple[list[int] | None, int | None
         parser.error("--input-format bits only applies to coin/vonneumann modes")
 
     order = None
-    if args.state_order:
+    if args.state_order is not None:
         try:
             order = [int(t) for t in args.state_order.split(",")]
         except ValueError:
@@ -388,7 +388,7 @@ def _cmd_extract(args, parser: _Parser) -> int:
         # first read of the input, which may be the prescan in
         # _build_extract_session.
         out = sys.stdout.buffer if args.output == "-" else output(args.output, "b")
-        stats_file = output(args.stats_file, "") if args.stats_file else None
+        stats_file = None if args.stats_file is None else output(args.stats_file, "")
         regular = _check_distinct_files(
             [(None, stream), ("stdout" if args.output == "-" else repr(args.output), out),
              (repr(args.stats_file), stats_file)],

@@ -52,16 +52,16 @@ One loop, :meth:`Arena.feed`, steps every coin, dice and Markov
 session.  It iterates one flat stream of ``(root, symbol code)``
 deliveries from the session class's ``_deliveries``, and per delivery
 does only the node rules and the record of the bit's node: it counts
-neither items nor deliveries.  The stream counts the items, steps the
-counter trees, and stops after the item whose bits reach a requested
-length, so the loop learns nothing of items.  A coin ``str`` fed to the
-end is coded in C (``H`` -> 1, ``T`` -> 2) and paired with root 0, so no
-Python code runs per symbol outside the loop; anything else goes one
-symbol at a time.  The dice and Markov sessions share one stream, which
-flattens the cached route of each face or delivered (state, exit) pair
-(see :mod:`debias.dice`).  The loop runs with the arena in locals, and
-lets an empty root take its symbol without entering the cascade (about
-half of all coin symbols touch only the root).
+neither items nor deliveries.  The stream counts the items and stops
+after the item whose bits reach a requested length, so the loop learns
+nothing of items.  A coin ``str`` fed to the end is coded in C (``H`` ->
+1, ``T`` -> 2) and paired with root 0, so no Python code runs per symbol
+outside the loop; anything else goes one symbol at a time.  The dice
+and Markov sessions share one stream, which flattens the cached route of
+each face or delivered (state, exit) pair, one flat tuple of deliveries,
+counter roots included (see :mod:`debias.dice`).  The loop runs with the
+arena in locals, and lets an empty root take its symbol without entering
+the cascade (about half of all coin symbols touch only the root).
 ``feed`` is the only path that steps a session: :meth:`Arena.process` is
 a one-item ``feed``, and :func:`take_bits` and the exact oracle of
 :mod:`debias.oracle` drive every session type in the package through
@@ -73,27 +73,32 @@ arena on each read.  One backward pass over the nodes,
 with children received twice the symbols its left child received, plus
 one if it holds a pending symbol, and only a node at the cap keeps a
 count, of the pairs it completed.  ``messages_total`` sums it, and a
-Markov forest's ``faces_consumed`` reads it at the forest's root.  One
-closed form, :func:`_counter_deliveries`, gives the deliveries the
-symbols fed to a counter tree made: ``messages_total`` adds it for each
-counter tree, and :meth:`Arena.process` takes its difference across the
-item, whose node deliveries it counts by a walk of the nodes the item
-delivered to.
+Markov forest's ``faces_consumed`` reads it at the forest's root.  A
+counter tree, one only ever fed ``T`` (a fixed-bit slot of a die), is a
+root with no room below it, which the loop steps like any other node at
+the cap, so the symbols it received are its count (see
+:meth:`Arena._counted`).  One closed form, :func:`_counter_deliveries`,
+gives the deliveries those symbols made in the full tree the root stands
+for: ``messages_total`` counts it in place of the root's count, and
+:meth:`Arena.process`, which counts an item's deliveries by a walk of the
+nodes the item delivered to, adds its step for a counter root.
 
 Every count, index and depth cap that a session, :func:`take_bits`,
 :func:`extract_bits`, a verifier of :mod:`debias.oracle` or an analysis
 function takes (a depth limit, a bit count, a horizon, a die's ``m``, a
-face, a state) is an ``int`` and not a ``bool``, although ``bool``
-subclasses ``int``.  A bad one raises a ``ValueError`` (a
-:class:`debias.analysis.DomainError` in :mod:`debias.analysis`) before any
-work is done, and a bad item fed to a session raises a ``ValueError`` with
-the items before it consumed.
+face, a state, a feed's ``until``) is an ``int`` and not a ``bool``,
+although ``bool`` subclasses ``int``.  A bad one raises a ``ValueError``
+(a :class:`debias.analysis.DomainError` in :mod:`debias.analysis`) before
+any work is done, and a bad item fed to a session raises a ``ValueError``
+with the items before it consumed.  ``until`` is a target, so it may be
+negative: one the output already reaches pulls no item.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from itertools import repeat, zip_longest
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -210,10 +215,20 @@ def check_depth_limit(depth_limit) -> None:
 
 _UNBOUNDED = sys.maxsize  # no bound: ``until`` of a feed to the end, room at unlimited depth
 
-# The child slot of a node at the depth cap, which forwards nothing: no room
-# is left below it.  A smaller slot belongs to a node with room below it but
-# no children yet; a child index is positive, as the first node of an arena
-# is a root and a root is never a child.
+
+def _stop(until) -> int:
+    """The output length at which a ``feed`` stops: ``until``, which may be
+    any int but a bool (a target already reached pulls no item), or no
+    bound for None.  Anything else raises ``ValueError``."""
+    if until is not None and not _is_count(until, -math.inf):
+        raise ValueError(f"until must be None or an int, got {until!r}")
+    return _UNBOUNDED if until is None else until
+
+
+# The child slot of a node at the depth cap, which forwards nothing, and of a
+# counter root: no room is left below it.  A smaller slot belongs to a node
+# with room below it but no children yet; a child index is positive, as the
+# first node of an arena is a root and a root is never a child.
 _AT_CAP = -1
 
 
@@ -251,9 +266,9 @@ class Arena(Session):
 
     A tree fed only ``T`` never completes an unequal pair, so it releases
     nothing and is fully described by the number of symbols it was fed.
-    Such a tree holds no node: it is a count ``_count[c]``, reached through
-    the negative root ``~c``, and :func:`counter_tree` builds its snapshot.
-    A subclass maps the key of each tree to its root in ``_roots``.
+    Such a tree is one root with no room below it, a counter (see
+    :meth:`_counted`).  A subclass maps the key of each tree to its root in
+    ``_roots``.
 
     :meth:`feed` is the one loop that steps every subclass, on the flat
     stream of deliveries of the subclass's ``_deliveries``, which also
@@ -270,22 +285,35 @@ class Arena(Session):
         self._label: list[int] = []
         self._kids: list[int] = []
         self._src: list[int] = []
-        self._count: list[int] = []
         self._pairs: dict[int, int] = {}
         self._fed = 0
 
-    def _new_root(self) -> int:
-        """Allocate an empty tree; return the index of its root."""
+    def _new_root(self, counter: bool = False) -> int:
+        """Allocate an empty tree; return the index of its root.  The root
+        of a ``counter`` tree, one only ever fed ``T``, has no room below
+        it (see :meth:`_counted`)."""
         i = len(self._label)
         self._label.append(0)
-        self._kids.append(-1 - (_UNBOUNDED if self.depth_limit is None else self.depth_limit))
+        room = 0 if counter else (_UNBOUNDED if self.depth_limit is None else self.depth_limit)
+        self._kids.append(-1 - room)
         return i
 
-    def _new_counter(self) -> int:
-        """Allocate a tree that is only ever fed ``T``; return its root."""
-        c = len(self._count)
-        self._count.append(0)
-        return ~c
+    def _counted(self, roots: Iterable[int]) -> dict[int, int]:
+        """The symbols fed to each counter tree among the trees at
+        ``roots``, by its root.
+
+        A tree fed only ``T`` completes only equal pairs, so it releases
+        nothing and is fully described by the number of symbols fed to it:
+        its root is kept at the cap, where the loop counts its pairs in
+        ``_pairs``, and :func:`_counter_deliveries` and :func:`counter_tree`
+        give the deliveries and the snapshot of the full tree it stands
+        for.  So a counter is a root at the cap of a session whose cap
+        leaves room; at depth 0 the closed forms are the node rules, and a
+        counter is a one-node tree like any other."""
+        if self.depth_limit == 0:
+            return {}
+        label, kids, pairs = self._label, self._kids, self._pairs
+        return {r: 2 * pairs.get(r, 0) + (label[r] == 2) for r in roots if kids[r] == _AT_CAP}
 
     def process(self, item) -> StepResult:
         """Consume one item through ``feed``; return the bits it released
@@ -297,13 +325,14 @@ class Arena(Session):
         forwarded: a pair's parity to the left child if it holds a bit, and
         also the repeated symbol to the right if it is empty, none if it
         holds ``H`` or ``T``.  So the deliveries are counted by a walk of the
-        nodes delivered to, plus the steps of the counter trees."""
-        label, kids, count = self._label, self._kids, self._count
+        nodes delivered to, and a counter root delivered to adds the step of
+        :func:`_counter_deliveries` past the one delivery the walk counts."""
+        label, kids = self._label, self._kids
         roots = self._roots.values()  # a live view: it shows the roots the item makes
-        n0, counted = len(self.output), count.copy()
-        before = {r: label[r] for r in roots if r >= 0}
+        n0, before = len(self.output), {r: label[r] for r in roots}
         self.feed((item,))
-        todo = [r for r in roots if r >= 0 and label[r] != before.get(r, 0)]
+        todo = [r for r in roots if label[r] != before.get(r, 0)]
+        counted = self._counted(todo)  # before the walk adds children, which may be at the cap
         for i in todo:  # grows by the children each delivered node forwarded to
             k = kids[i]
             if k > 0 and label[i] == 0:  # an equal pair: parity left, symbol right
@@ -311,16 +340,16 @@ class Arena(Session):
             elif k > 0 and label[i] > 2:  # an unequal pair: parity left
                 todo.append(k)
         d = self.depth_limit
-        steps = sum(_counter_deliveries(c, d) - _counter_deliveries(c0, d)
-                    for c0, c in zip_longest(counted, count, fillvalue=0) if c != c0)
+        steps = sum(_counter_deliveries(c, d) - _counter_deliveries(c - 1, d) - 1 for c in counted.values())
         return StepResult(self.output[n0:], len(todo) + steps)
 
     @property
     def messages_total(self) -> int:
         """Node deliveries made so far, derived from the arena in one pass
-        (see :meth:`_received`) plus the closed form of each counter tree."""
-        d = self.depth_limit
-        return sum(self._received()) + sum(_counter_deliveries(c, d) for c in self._count)
+        (see :meth:`_received`), with each counter root's count replaced by
+        the closed form of the tree it stands for."""
+        d, counted = self.depth_limit, self._counted(self._roots.values())
+        return sum(self._received()) + sum(_counter_deliveries(c, d) - c for c in counted.values())
 
     def _received(self) -> list[int]:
         """The number of symbols each node received, in one backward pass.
@@ -345,20 +374,22 @@ class Arena(Session):
         consumed.
 
         ``self._deliveries(items, stop)`` is one flat stream of ``(root,
-        symbol code)`` deliveries, item after item, and the loop makes them
-        and counts nothing.  The stream is the session's: it counts the
-        items in ``_fed``, steps the counter trees in ``_count``, stops
-        after the item that brings ``len(output)`` to ``stop``, pulling no
-        item past it, and raises at a bad item, which leaves the session as
-        it was after the items before it.  Each delivery runs with
-        everything it forwards, depth first and left before right: a right
-        child's symbol waits on a stack while the left subtree runs, unless
-        the child is empty and so takes it at once (an empty node releases
-        and forwards nothing, so the order cannot show).  A node at the cap
-        forwards nothing, and counts its pair in ``_pairs``.
+        symbol code)`` deliveries, item after item, counter roots included,
+        and the loop makes them and counts nothing.  The stream is the
+        session's: it counts the items in ``_fed``, stops after the item
+        that brings ``len(output)`` to ``stop``, pulling no item past it,
+        and raises at a bad item, which leaves the session as it was after
+        the items before it.  An ``until`` that is not None or an int (a
+        bool included) raises ``ValueError`` before any item is pulled.
+        Each delivery runs with everything it forwards, depth first and
+        left before right: a right child's symbol waits on a stack while
+        the left subtree runs, unless the child is empty and so takes it at
+        once (an empty node releases and forwards nothing, so the order
+        cannot show).  A node at the cap forwards nothing, and counts its
+        pair in ``_pairs``.
         """
         out = self.output
-        stop = _UNBOUNDED if until is None else until
+        stop = _stop(until)
         if len(out) >= stop:
             return 0
         fed = self._fed
@@ -421,8 +452,7 @@ class Arena(Session):
         home = [q for q, f in enumerate(forests, n) for _ in f]  # tree -> its forest's bits list
         tree = [0] * len(kids)
         for t, r in enumerate(roots):
-            if r >= 0:
-                tree[r] = t
+            tree[r] = t
         for i, k in enumerate(kids):
             if k > 0:
                 tree[k] = tree[k + 1] = tree[i]
@@ -434,10 +464,9 @@ class Arena(Session):
             bits[t].append(bit)
             bits[home[t]].append(bit)
         nodes = self._nodes(logs)
-        d, count = self.depth_limit, self._count
-        views = iter(
-            [TreeView(bits[t], nodes[r] if r >= 0 else counter_tree(count[~r], d)) for t, r in enumerate(roots)]
-        )
+        for r, c in self._counted(roots).items():
+            nodes[r] = counter_tree(c, self.depth_limit)
+        views = iter([TreeView(bits[t], nodes[r]) for t, r in enumerate(roots)])
         return [(bits[q], [next(views) for _ in f]) for q, f in enumerate(forests, n)]
 
     def _nodes(self, logs: Sequence[Sequence[int]] | None = None) -> list[TraceNode]:
@@ -466,7 +495,6 @@ class Arena(Session):
         dup._label = self._label.copy()
         dup._kids = self._kids.copy()
         dup._src = self._src.copy()
-        dup._count = self._count.copy()
         dup._pairs = self._pairs.copy()
         dup._fed = self._fed
         return dup

@@ -17,25 +17,25 @@ can hold several forests of the same width: forest ``q`` keeps slot
 ``s`` under the key ``q << w | s``.  A die session is forest 0; a
 :class:`debias.markov.MarkovExtractor` has one forest per state.  A
 face's route, built on the face's first use and cached under ``q << w |
-face``, holds the ``(root, symbol code)`` deliveries of its bits to node
-trees and the counter trees its other bits step.  Both sessions share
-one item stream: per item it steps the counters of the item's route,
-flattens the route's node deliveries into the arena's one delivery loop,
+face``, is one flat tuple of the ``(root, symbol code)`` deliveries of
+its bits.  Both sessions share one item stream: per item it flattens the
+route's deliveries into the arena's one delivery loop,
 :meth:`debias.coin.Arena.feed`, which counts nothing, counts the item,
 and stops after the item whose bits reach the requested length.  A die
 session supplies only the cached route of each checked face, and the
 arena derives the deliveries.  Building a route allocates the root of
 each slot the face is the first to reach, so slots are allocated in the
-order of their first delivery, through a dict keyed as above.  The slot layout, the route cache, the item stream, the views and
-the copy of a forest are defined once, in the private base both sessions
-share.
+order of their first delivery, through a dict keyed as above.  The
+slot layout, the route cache, the item stream, the views and the copy of
+a forest are defined once, in the private base both sessions share.
 
 Unless ``m`` is a power of two, some slots are fixed-bit: every face
 whose word starts with the slot's prefix has bit 0 next (slot ``H`` for
 ``m = 3``, slots ``H`` and ``HT`` for ``m = 5``).  Such a tree is only
 ever fed ``T``, so it never releases a bit, and the arena keeps it as a
-count of the symbols fed to it, with no node (see
-:func:`debias.coin.counter_tree`), which the item stream steps.
+counter: one root with no room below it, delivered to like any other
+root, whose count stands for the full tree (see
+:meth:`debias.coin.Arena._counted`).
 
 No H/T word is built on this path; :func:`binarize` and
 :func:`prefix_stream` are the string forms of the same slicing.
@@ -113,8 +113,8 @@ class _Forests(Arena):
 
     ``_roots`` maps each used key to its root, in the order of the slots'
     first deliveries, and ``_route_of`` maps ``base | face`` to the face's
-    route in the forest at ``base``: its node deliveries and its counter
-    trees (see :meth:`_route`).  A subclass supplies only ``_routes``, the
+    route in the forest at ``base``, one flat tuple of deliveries (see
+    :meth:`_route`).  A subclass supplies only ``_routes``, the
     route of each item it is fed, to the one item stream,
     :meth:`_deliveries`.
     """
@@ -126,18 +126,17 @@ class _Forests(Arena):
         self._roots: dict[int, int] = {}  # base | slot -> root index
         self._route_of: dict[int, tuple] = {}  # base | face -> its route
 
-    def _route(self, base: int, face: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    def _route(self, base: int, face: int) -> tuple[tuple[int, int], ...]:
         """Build and cache the route of ``face`` in the forest at ``base``:
-        the ``(root, symbol code)`` deliveries of its bits to node trees,
-        position 0 first, and the indices in ``_count`` of the counter
-        trees its other bits step.
+        the ``(root, symbol code)`` delivery of each of its bits, position 0
+        first.
 
-        Each slot the face is the first to reach gets its root here, a
-        counter tree if every face with the slot's prefix has the next bit
-        0, a node otherwise.
+        Each slot the face is the first to reach gets its root here, the
+        root of a counter tree if every face with the slot's prefix has the
+        next bit 0.
         """
         roots, m, w = self._roots, self.m, self.width
-        nodes, counters = [], []
+        route = []
         slot = 1
         for sh in range(w - 1, -1, -1):
             key = base | slot
@@ -145,29 +144,24 @@ class _Forests(Arena):
             if r is None:
                 first = (slot << sh + 1) - (1 << w)  # the smallest face with this slot's prefix
                 fixed = m <= first + (1 << sh)  # no face with the prefix has the next bit 1
-                r = roots[key] = self._new_counter() if fixed else self._new_root()
+                r = roots[key] = self._new_root(fixed)
             bit = face >> sh & 1
-            if r < 0:
-                counters.append(~r)
-            else:
-                nodes.append((r, 2 - bit))
+            route.append((r, 2 - bit))
             slot = slot << 1 | bit
-        return self._route_of.setdefault(base | face, (tuple(nodes), tuple(counters)))
+        return self._route_of.setdefault(base | face, tuple(route))
 
     def _deliveries(self, items: Iterable, stop: int) -> Iterator[tuple[int, int]]:
-        """The one item stream of both sessions: for the route that
-        ``_routes`` gives each item, step its counter trees, yield its node
-        deliveries and count the item in ``_fed``; stop after the item that
-        brings ``len(output)`` to ``stop``.  A bad item raises from
-        ``_routes``, with the items before it counted."""
-        count, out = self._count, self.output
+        """The one item stream of both sessions: yield the deliveries of the
+        route that ``_routes`` gives each item and count the item in
+        ``_fed``; stop after the item that brings ``len(output)`` to
+        ``stop``.  A bad item raises from ``_routes``, with the items before
+        it counted."""
+        out = self.output
         n = 0
         try:
-            for nodes, counters in self._routes(items):
+            for route in self._routes(items):
                 n += 1
-                for c in counters:
-                    count[c] += 1
-                yield from nodes
+                yield from route
                 if len(out) >= stop:
                     return
         finally:

@@ -17,8 +17,8 @@ All forests of a session share one arena: state ``q``'s forest is the
 die forest of :mod:`debias.dice` at base ``q << w``, ``w`` being the word
 width, so its slots, routes (one per state and exit), counter trees and
 views are those of a die session, and so is its item stream, which
-counts the steps, steps the counter trees and feeds the node deliveries,
-flat, to the arena's one loop, :meth:`debias.coin.Arena.feed`.  The
+counts the steps and feeds each route's deliveries, flat, to the arena's
+one loop, :meth:`debias.coin.Arena.feed`.  The
 session adds only the lag: per step it moves ``pending`` and
 ``last_state`` on and gives the stream the route of the parked exit the
 step delivers, or an empty route.  It keeps no exit count: every exit
@@ -46,7 +46,7 @@ from .coin import TreeView, _is_count
 from .dice import _Forests
 
 
-_NO_ROUTE = ((), ())  # the route of a step that delivers nothing
+_NO_ROUTE = ()  # the route of a step that delivers nothing
 
 
 class UnknownState(ValueError):

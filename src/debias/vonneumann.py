@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coin import _UNBOUNDED, HEADS, TAILS, Session
+from .coin import HEADS, TAILS, Session, _stop
 
 
 class VonNeumannExtractor(Session):
@@ -25,9 +25,11 @@ class VonNeumannExtractor(Session):
         """Consume ``symbols`` until they run out or ``len(output)`` reaches
         ``until``, pulling none after the one that reaches it; return the
         number consumed.  A symbol other than ``H``/``T`` raises
-        ``ValueError``, with the symbols before it consumed."""
+        ``ValueError``, with the symbols before it consumed, and an
+        ``until`` that is not None or an int (a bool included) raises it
+        before any symbol is pulled."""
         out, held, n = self.output, self._held, 0
-        stop = _UNBOUNDED if until is None else until
+        stop = _stop(until)
         if len(out) >= stop:
             return 0
         try:

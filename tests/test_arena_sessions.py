@@ -233,7 +233,7 @@ def test_one_feed_and_one_clone_serve_every_arena_session():
 
 def test_the_delivery_loop_counts_no_message():
     # every message count is derived from the arena: the loop keeps no
-    # count of deliveries, and the streams step the counter trees
+    # count of deliveries, and a counter tree is a root it steps like any other
     assert not {"messages_total", "_count"} & set(Arena.feed.__code__.co_names)
 
 
@@ -251,6 +251,9 @@ def test_dice_and_markov_share_one_die_forest():
     # route of each item, and a chain's copy holds only its lag, no count
     assert "_deliveries" in vars(forests)
     assert "_deliveries" not in vars(DiceExtractor) and "_deliveries" not in vars(MarkovExtractor)
+    # a route is one flat tuple of deliveries, counter roots included, so the
+    # stream updates nothing but the item count
+    assert set(forests._deliveries.__code__.co_names) == {"output", "_routes", "len", "_fed"}
     assert {"pending", "last_state"} <= set(markov_copies)
     assert not {"_faces", "_fed", "_count"} & set(markov_copies)
 

@@ -540,12 +540,13 @@ class _UnreadStdin(_Stdin):
         ["extract", "--mode", "coin", "--output", "{missing}/out.txt"],
         ["extract", "--mode", "coin", "--output-format", "packed", "--output", "{missing}/b.bin"],
         ["extract", "--mode", "dice", "--m", "3", "--stats-file", "{missing}/stats.json"],
+        ["extract", "--mode", "dice", "--m", "3", "--stats-file", ""],
         ["analyze", "--depths", "3", "--ps", "0.4", "--output", "{missing}/table.txt"],
         ["verify", "--mode", "coin", "--p", "1/3", "--n-max", "4", "--bits", "1",
          "--output", "{missing}/report.txt"],
     ],
     ids=["extract-input", "extract-output", "extract-packed", "extract-stats-file",
-         "analyze-output", "verify-output"],
+         "extract-empty-stats-file", "analyze-output", "verify-output"],
 )
 def test_unopenable_path_is_config_error(argv, tmp_path, capsys, monkeypatch):
     # extract must report the path before it reads any input
@@ -592,9 +593,14 @@ def test_unopenable_path_is_reported_before_the_prescan(m, flag, tmp_path, capsy
         ["--mode", "markov", "--state-order", "7"],
         ["--mode", "dice", "--m", "1"],
         ["--mode", "dice", "--input", "-"],
+        # an empty value is a value: refused, not read as the option left out
+        ["--mode", "coin", "--state-order", ""],
+        ["--mode", "dice", "--state-order", ""],
+        ["--mode", "markov", "--state-order", ""],
     ],
     ids=["bits", "coin-order", "coin-m", "vonneumann-m", "dice-bits", "dice-order", "order-int", "order-distinct",
-         "order-m", "order-one", "m-one", "stdin-prescan"],
+         "order-m", "order-one", "m-one", "stdin-prescan", "coin-empty-order", "dice-empty-order",
+         "markov-empty-order"],
 )
 def test_argument_error_leaves_output_untouched(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", _UnreadStdin())

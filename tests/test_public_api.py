@@ -22,6 +22,7 @@ from debias.dice import DiceExtractor, binarize, face_width, prefix_stream
 from debias.inversion import LengthMismatch, replace_logs
 from debias.markov import MarkovExtractor, UnknownState, exit_stream
 from debias.oracle import verify_coin, verify_dice, verify_markov
+from debias.vonneumann import VonNeumannExtractor
 
 # `debias analyze` with its defaults: the frozen tosses-per-bit table
 ANALYZE_DEFAULT = """\
@@ -149,9 +150,17 @@ def test_analyze_defaults_print_the_frozen_table(capsys):
 
 HALF = ("1/2", "1/2")
 
+
+def unpulled():
+    """Items that fail the test when pulled: a refusal must come first."""
+    raise AssertionError("an item was pulled before the refusal")
+    yield
+
+
 # Every public entry point that takes a count, index or depth cap: a call
 # that passes it the value ``x``, the exception class a bad ``x`` raises,
-# and the first value out of range.
+# and the first value out of range, or None where every int is in range (a
+# feed's ``until`` is a target, and one already reached pulls no item).
 CONTRACT = {
     "CoinExtractor(depth_limit)": (lambda x: CoinExtractor(x), ValueError, -1),
     "DiceExtractor(m)": (lambda x: DiceExtractor(x), ValueError, 1),
@@ -186,17 +195,34 @@ CONTRACT = {
     "prefix_stream(m)": (lambda x: prefix_stream([0], "", x), ValueError, 1),
     "prefix_stream face": (lambda x: prefix_stream([0, x], "", 3), ValueError, 3),
     "exit_stream(state)": (lambda x: exit_stream([0, 1, 0, 2, 1, 2], x), ValueError, -1),
+    "CoinExtractor.feed(until)": (lambda x: CoinExtractor().feed(unpulled(), x), ValueError, None),
+    "DiceExtractor.feed(until)": (lambda x: DiceExtractor(3).feed(unpulled(), x), ValueError, None),
+    "MarkovExtractor.feed(until)": (lambda x: MarkovExtractor(3).feed(unpulled(), x), ValueError, None),
+    "VonNeumannExtractor.feed(until)": (lambda x: VonNeumannExtractor().feed(unpulled(), x), ValueError, None),
 }
 OUT_OF_RANGE = "out of range"
+CASES = [
+    (entry, bad)
+    for entry, (_, _, first_out) in CONTRACT.items()
+    for bad in (True, 1.0, -1, OUT_OF_RANGE)
+    if first_out is not None or bad in (True, 1.0)
+]
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, -1, OUT_OF_RANGE], ids=str)
-@pytest.mark.parametrize("entry", CONTRACT)
+@pytest.mark.parametrize("entry, bad", CASES, ids=[f"{entry}-{bad}" for entry, bad in CASES])
 def test_counts_indices_and_caps_are_ints_not_bools(entry, bad):
     call, error, first_out = CONTRACT[entry]
     with pytest.raises(ValueError) as exc:
         call(first_out if bad == OUT_OF_RANGE else bad)
     assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("entry", [entry for entry, (_, _, first_out) in CONTRACT.items() if first_out is None])
+def test_a_feed_target_is_any_int_and_nothing_else(entry):
+    call, error, _ = CONTRACT[entry]
+    assert call(-1) == 0  # already reached: no item is pulled
+    with pytest.raises(error, match="until must be None or an int"):
+        call("3")
 
 
 @pytest.mark.parametrize(
