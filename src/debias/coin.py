@@ -65,7 +65,15 @@ the cascade (about half of all coin symbols touch only the root).
 ``feed`` is the only path that steps a session: :meth:`Arena.process` is
 a one-item ``feed``, and :func:`take_bits` and the exact oracle of
 :mod:`debias.oracle` drive every session type in the package through
-``feed``.
+``feed``.  The loop has a compiled twin, the C extension
+:mod:`debias._arena`, which makes the same deliveries on the same lists
+and dict.  ``feed`` hands the stream to it whenever it is loaded, so
+every session and every path goes through the one fork: ``str`` batches,
+symbol by symbol, routes, stops, bad items and the oracle's one-item
+feeds.  It is built from ``_arena.c`` on the first import that finds no
+build of the current source (see :mod:`debias._build`); without a
+working C compiler ``_kernel`` is None and the Python loop, which is the
+reference the tests hold the kernel to, runs with the same results.
 
 ``messages_total``, the number of node deliveries, is derived from the
 arena on each read.  One backward pass over the nodes,
@@ -97,7 +105,9 @@ negative: one the output already reaches pulls no item.
 from __future__ import annotations
 
 import math
+import os
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -225,6 +235,30 @@ def _stop(until) -> int:
     return _UNBOUNDED if until is None else until
 
 
+def _load_kernel():
+    """The compiled delivery loop, :mod:`debias._arena`, or None.
+
+    A build is served only while its modification time equals that of
+    ``_arena.c``, which :mod:`debias._build` gives it, so a changed source
+    is never served by an old build.  Without a current build one is made
+    now; if that fails, the result is None and :meth:`Arena.feed` runs its
+    Python loop."""
+    base = os.path.join(os.path.dirname(__file__), "_arena")
+    try:
+        if os.stat(base + ".c").st_mtime_ns == os.stat(base + EXTENSION_SUFFIXES[0]).st_mtime_ns:
+            from . import _arena
+
+            return _arena
+    except (OSError, ImportError):
+        pass
+    from ._build import load
+
+    return load()
+
+
+_kernel = _load_kernel()
+
+
 # The child slot of a node at the depth cap, which forwards nothing, and of a
 # counter root: no room is left below it.  A smaller slot belongs to a node
 # with room below it but no children yet; a child index is positive, as the
@@ -294,7 +328,8 @@ class Arena(Session):
         it (see :meth:`_counted`)."""
         i = len(self._label)
         self._label.append(0)
-        room = 0 if counter else (_UNBOUNDED if self.depth_limit is None else self.depth_limit)
+        d = self.depth_limit
+        room = 0 if counter else _UNBOUNDED if d is None else min(d, _UNBOUNDED)  # no tree is that tall
         self._kids.append(-1 - room)
         return i
 
@@ -386,7 +421,8 @@ class Arena(Session):
         the left subtree runs, unless the child is empty and so takes it at
         once (an empty node releases and forwards nothing, so the order
         cannot show).  A node at the cap forwards nothing, and counts its
-        pair in ``_pairs``.
+        pair in ``_pairs``.  While :mod:`debias._arena` is loaded, its
+        compiled copy of the loop below makes the deliveries.
         """
         out = self.output
         stop = _stop(until)
@@ -394,6 +430,9 @@ class Arena(Session):
             return 0
         fed = self._fed
         label, kids, src, pairs = self._label, self._kids, self._src, self._pairs
+        if _kernel is not None:  # the same loop, compiled
+            _kernel.feed(self._deliveries(items, stop), label, kids, src, pairs, out)
+            return self._fed - fed
         stack: list[int] = []  # waiting right-child deliveries as flat (node, symbol) pairs
         for i, y in self._deliveries(items, stop):
             held = label[i]

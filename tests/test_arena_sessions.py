@@ -3,12 +3,14 @@ per-tree sessions in ``per_tree_reference``, plus their bulk-feed edge
 cases: bad items in mid-stream, booleans, ``take_bits`` and ``clone``."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_tree_reference as ref
+from debias import coin
 from debias.coin import Arena, CoinExtractor, SourceExhausted, take_bits
 from debias.dice import DiceExtractor, binarize, prefix_stream
 from debias.markov import MarkovExtractor, UnknownState
@@ -261,7 +263,10 @@ def test_dice_and_markov_share_one_die_forest():
 @pytest.mark.parametrize("kind", ["coin", "dice", "markov"])
 def test_a_depth_past_any_tree_height_is_unlimited(kind):
     # 2**62 levels are never reached, so the cap must cost nothing; a
-    # 3-sided die and a 3-state chain have counter trees, which read it
+    # 3-sided die and a 3-state chain have counter trees, which read it.  A
+    # node's room is clamped to the unlimited room, so past it (2**100) the
+    # arena holds the same child slots as at depth None.  Both hold on the
+    # compiled loop, when it is built, and on the Python loop
     rng = random.Random(62)
     if kind == "coin":
         items = rng.choices("HT", [3, 7], k=3000)
@@ -270,7 +275,13 @@ def test_a_depth_past_any_tree_height_is_unlimited(kind):
         items = rng.choices(range(3), [5, 3, 2], k=3000)
         new = SESSIONS[kind][0]
         make, seen = (lambda depth: new(3, depth)), state
-    deep, unlimited = make(2**62), make(None)
-    deep.feed(items)
-    unlimited.feed(items)
-    assert seen(deep) == seen(unlimited)
+    for kernel in {coin._kernel, None}:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coin, "_kernel", kernel)
+            for depth in (2**62, 2**100):
+                deep, unlimited = make(depth), make(None)
+                deep.feed(items)
+                unlimited.feed(items)
+                assert seen(deep) == seen(unlimited)
+                if depth > sys.maxsize:
+                    assert deep._kids == unlimited._kids
